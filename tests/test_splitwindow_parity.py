@@ -14,7 +14,13 @@ A mismatch therefore localizes immediately:
   *semantics* changed (intentional? regenerate);
 * only ``eventsim`` drifts -> the event decomposition broke parity.
 
-Regenerate the fixture (legacy engine is the authority) with::
+Fabric cells (non-degenerate link latency, bandwidth or banking, at the
+headline 4 x 32 organization) exist only in the event-driven machine;
+they pin its sync-fabric and bank counters next to the ``SimResult``
+fields.
+
+Regenerate the fixture (legacy engine is the authority at degenerate
+settings, the event machine for fabric cells) with::
 
     PYTHONPATH=src python tests/test_splitwindow_parity.py --regen
 """
@@ -51,9 +57,35 @@ FIELDS = (
     "icache_misses", "l2_accesses", "l2_misses",
 )
 
+#: Sync-fabric and bank counters pinned for fabric cells.
+COUNTERS = (
+    "fabric_posted", "fabric_queued", "fabric_max_queue_delay",
+    "bank_accesses", "bank_conflicts", "bank_conflict_cycles",
+)
+
 ENGINES = {
     "legacy": simulate_split,
     "eventsim": simulate_split_event,
+}
+
+#: label suffix -> non-degenerate fabric knobs.
+FABRIC_POINTS = {
+    "link1": {"link_latency": 1},
+    "link3": {"link_latency": 3},
+    "bw1": {"sync_bandwidth": 1},
+    "bw4": {"sync_bandwidth": 4},
+    "banks1p1": {"mem_banks": 1, "bank_ports": 1},
+    "banks4": {"mem_banks": 4},
+    "link2bw1banks2": {
+        "link_latency": 2, "sync_bandwidth": 1, "mem_banks": 2,
+    },
+}
+
+#: label part -> (scheduling, policy, scheduler latency) for fabric cells.
+FABRIC_SCHEDULES = {
+    "AS-NAV-lat0": (SchedulingModel.AS, SpeculationPolicy.NAIVE, 0),
+    "AS-NAV-lat2": (SchedulingModel.AS, SpeculationPolicy.NAIVE, 2),
+    "NAS-NAV": (SchedulingModel.NAS, SpeculationPolicy.NAIVE, 0),
 }
 
 
@@ -82,6 +114,18 @@ def parity_configs():
     return configs
 
 
+def fabric_configs():
+    """label -> split-window config with a non-degenerate fabric."""
+    return {
+        f"u4t32-{schedule}-{point}": split_window(
+            scheduling, policy, latency, **knobs
+        )
+        for schedule, (scheduling, policy, latency)
+        in FABRIC_SCHEDULES.items()
+        for point, knobs in FABRIC_POINTS.items()
+    }
+
+
 def _cell_id(benchmark, label):
     return f"{benchmark}/{label}"
 
@@ -92,12 +136,23 @@ CELLS = [
     for label in parity_configs()
 ]
 
+FABRIC_CELLS = [
+    (benchmark, length, label)
+    for benchmark, length in BENCHMARKS
+    for label in fabric_configs()
+]
+
 
 def simulate_cell(benchmark, length, config, engine):
     trace = get_trace(benchmark, length, seed=0)
     dep_info = compute_dependence_info(trace)
     result = ENGINES[engine](config, trace, dep_info)
-    return {field: getattr(result, field) for field in FIELDS}
+    measured = {field: getattr(result, field) for field in FIELDS}
+    counters = result.extra.get("eventsim", {})
+    measured.update(
+        {name: counters[name] for name in COUNTERS if name in counters}
+    )
+    return measured
 
 
 @pytest.fixture(scope="module")
@@ -122,18 +177,29 @@ def golden():
 )
 def test_split_results_match_fixture(golden, bench, length, label,
                                      engine):
+    _check_cell(golden, bench, length, label, parity_configs(), engine)
+
+
+@pytest.mark.parametrize(
+    "bench,length,label",
+    FABRIC_CELLS,
+    ids=[_cell_id(b, lab) for b, _, lab in FABRIC_CELLS],
+)
+def test_fabric_results_match_fixture(golden, bench, length, label):
+    _check_cell(golden, bench, length, label, fabric_configs(), "eventsim")
+
+
+def _check_cell(golden, bench, length, label, configs, engine):
     cell_id = _cell_id(bench, label)
     assert cell_id in golden["cells"], (
         f"cell {cell_id} absent from fixture — regenerate with --regen"
     )
     expected = golden["cells"][cell_id]
-    measured = simulate_cell(
-        bench, length, parity_configs()[label], engine
-    )
+    measured = simulate_cell(bench, length, configs[label], engine)
     drifted = {
-        field: (expected[field], measured[field])
-        for field in FIELDS
-        if expected[field] != measured[field]
+        field: (want, measured.get(field))
+        for field, want in expected.items()
+        if want != measured.get(field)
     }
     assert not drifted, (
         f"{engine} engine drifted from golden fixture on {cell_id}: "
@@ -156,23 +222,27 @@ def test_engines_agree_without_fixture():
     config = parity_configs()["u4t32-AS-NAV-lat1"]
     legacy = simulate_cell("126.gcc", 4_000, config, "legacy")
     event = simulate_cell("126.gcc", 4_000, config, "eventsim")
-    assert legacy == event
+    assert legacy == {field: event[field] for field in FIELDS}
 
 
 def regenerate():
     cells = {}
     for benchmark, length in BENCHMARKS:
-        for label, config in parity_configs().items():
-            cell_id = _cell_id(benchmark, label)
-            cells[cell_id] = simulate_cell(
-                benchmark, length, config, "legacy"
-            )
-            print(f"  {cell_id}: cycles={cells[cell_id]['cycles']}")
+        for configs, engine in (
+            (parity_configs(), "legacy"), (fabric_configs(), "eventsim"),
+        ):
+            for label, config in configs.items():
+                cell_id = _cell_id(benchmark, label)
+                cells[cell_id] = simulate_cell(
+                    benchmark, length, config, engine
+                )
+                print(f"  {cell_id}: cycles={cells[cell_id]['cycles']}")
     doc = {
         "description": (
             "Golden split-window SimResult numbers (legacy engine is "
             "the authority; eventsim must match bit-for-bit at "
-            "degenerate fabric settings)."
+            "degenerate fabric settings). Fabric cells come from the "
+            "event machine and also pin its fabric and bank counters."
         ),
         "benchmarks": [list(pair) for pair in BENCHMARKS],
         "cells": cells,

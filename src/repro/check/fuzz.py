@@ -35,8 +35,9 @@ and asserts the paper's cross-policy relations:
   legitimate excursion observed across the calibrated design space is
   17.4%). The committed instruction stream must stay latency-invariant
   exactly (R1's argument applied to a timing-only knob). Cells with
-  ``split_bandwidth > 0`` run on the event-driven backend
-  (:mod:`repro.eventsim`), so corpus replay also exercises that engine.
+  ``split_bandwidth > 0`` send posted addresses through the split
+  window's sync fabric (:mod:`repro.splitwindow.fabric`), so corpus
+  replay also exercises its delivery path.
 
 A failing cell is minimised by halving its run lengths while the
 failure persists, and can be saved as a JSON corpus entry; the
@@ -79,7 +80,7 @@ _WINDOW_POOL = (64, 128)
 _LATENCY_POOL = (0, 1, 2)
 _SPLIT_UNITS_POOL = (2, 4, 8)
 _SPLIT_TASK_POOL = (16, 32)
-_SPLIT_BANDWIDTH_POOL = (0, 0, 2, 4)  # mostly degenerate fabric
+_SPLIT_BANDWIDTH_POOL = (0, 0, 2, 4)  # mostly the ideal fabric
 
 #: R6b slack: miss-speculation counts may dip between adjacent
 #: scheduler latencies because a squash reshuffles all downstream
@@ -96,9 +97,9 @@ class FuzzCell:
     ``split_units > 0`` marks a split-window cell (AS/NAV only, R6):
     the window is partitioned into that many sub-windows running
     ``split_task``-instruction tasks, with the sync fabric limited to
-    ``split_bandwidth`` messages per cycle (0 = unbounded; a bounded
-    fabric is modelled by the event-driven backend). Split fields are
-    optional in serialized form, so version-1 corpora load unchanged.
+    ``split_bandwidth`` messages per cycle (0 = unbounded). Split
+    fields are optional in serialized form, so version-1 corpora load
+    unchanged.
     """
 
     benchmark: str

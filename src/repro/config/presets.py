@@ -83,9 +83,8 @@ def split_window(
     Total window capacity matches the 128-entry continuous machine, but is
     partitioned into *num_units* sub-windows that fetch independently.
     The fabric knobs (*link_latency*, *sync_bandwidth*, *mem_banks*,
-    *bank_ports*) parameterize the cross-window sync fabric modelled by
-    :mod:`repro.eventsim`; any non-degenerate setting requires the
-    event-driven backend (the legacy cycle model rejects it).
+    *bank_ports*) parameterize the cross-window sync fabric
+    (:mod:`repro.splitwindow.fabric`); the defaults are the ideal fabric.
     """
     base = continuous_window_128(
         scheduling, policy, addr_scheduler_latency, **memdep_kwargs

@@ -178,14 +178,14 @@ class SplitWindowConfig:
     """Distributed split-window parameters (Section 3.7).
 
     The fabric fields parameterize the cross-window synchronization
-    fabric modelled by :mod:`repro.eventsim`: how long a posted store
-    address takes to cross between units (``link_latency``), how many
-    such messages the fabric can deliver per cycle (``sync_bandwidth``),
-    and whether main-memory accesses contend for banks (``mem_banks`` /
-    ``bank_ports``). All default to the *degenerate* point (0-latency
-    links, unbounded bandwidth, no bank contention) at which the
-    event-driven machine is bit-identical to the legacy cycle-driven
-    :class:`repro.splitwindow.processor.SplitWindowProcessor`.
+    fabric of :class:`repro.splitwindow.processor.SplitWindowProcessor`
+    (:mod:`repro.splitwindow.fabric`): how long a posted store address
+    takes to cross between units (``link_latency``), how many such
+    messages the fabric can deliver per cycle (``sync_bandwidth``), and
+    whether main-memory accesses contend for banks (``mem_banks`` /
+    ``bank_ports``). All default to the *ideal* fabric (0-latency
+    links, unbounded bandwidth, no bank contention), where a posted
+    address is visible to every unit without a message.
     """
 
     enabled: bool = False
@@ -217,16 +217,6 @@ class SplitWindowConfig:
             raise ValueError("mem_banks must be >= 0 (0 = no contention)")
         if self.bank_ports < 1:
             raise ValueError("bank_ports must be >= 1")
-
-    @property
-    def fabric_degenerate(self) -> bool:
-        """True at the 0-latency / unbounded-bandwidth / no-contention
-        point where the legacy cycle-driven model is exact."""
-        return (
-            self.link_latency == 0
-            and self.sync_bandwidth == 0
-            and self.mem_banks == 0
-        )
 
 
 def _default_l1i() -> CacheConfig:

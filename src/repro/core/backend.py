@@ -1,6 +1,6 @@
-"""Simulator backend registry.
+"""Simulator backend registry for the continuous-window core.
 
-Three backends produce bit-identical :class:`~repro.core.result.SimResult`
+Two backends produce bit-identical :class:`~repro.core.result.SimResult`
 numbers for the same (config, trace, plan):
 
 ``reference``
@@ -15,24 +15,20 @@ numbers for the same (config, trace, plan):
     exists purely for throughput; any divergence from ``reference`` is
     a bug (CI's ``backend-parity`` job enforces this).
 
-``eventsim``
-    The discrete-event split-window machine
-    (:class:`repro.eventsim.splitwindow.EventSplitWindowProcessor`).
-    It exists for *coverage*, not speed: it is the only backend that
-    models non-degenerate sync-fabric settings (link latency, bounded
-    bandwidth, banked memory — see
-    :class:`repro.config.processor.SplitWindowConfig`). At degenerate
-    fabric settings it is bit-identical to the legacy cycle-driven
-    split model (CI's ``eventsim-parity`` job enforces this); for
-    non-split configs it delegates to ``reference``.
+Split-window configs are not a backend choice: they always run on the
+one split-window machine,
+:class:`repro.splitwindow.processor.SplitWindowProcessor`, which
+:func:`repro.core.processor.simulate` and
+:func:`repro.experiments.runner.run_benchmark` select from
+``config.split.enabled`` alone.
 
 Selection precedence (first non-empty wins)::
 
     explicit argument > config.backend > $REPRO_BACKEND > "reference"
 
 The ``vector`` backend transparently delegates to ``reference`` when a
-run needs per-instruction objects (observability, timeline, telemetry,
-or a split-window config) — see :func:`vector_limitation`.
+run needs per-instruction objects (observability, timeline or
+telemetry) — see :func:`vector_limitation`.
 
 The vector core additionally runs with **event-horizon cycle elision**
 by default: when a cycle provably cannot schedule, complete, fetch or
@@ -125,7 +121,7 @@ def backend_capabilities(name: str) -> Dict[str, object]:
 
     ``objects``
         Keeps per-instruction objects — required for observability,
-        timelines, telemetry and split-window configs.
+        timelines and telemetry.
     ``compiled_columns``
         Consumes packed ``CompiledTrace`` columns without ``DynInst``
         materialization.
@@ -145,14 +141,6 @@ def backend_capabilities(name: str) -> Dict[str, object]:
             "elision_enabled": os.environ.get(ELIDE_ENV, "1") != "0",
             "elision_env": ELIDE_ENV,
         }
-    if name == "eventsim":
-        return {
-            "objects": True,
-            "compiled_columns": False,
-            "cycle_elision": False,
-            "event_driven": True,
-            "sync_fabric": True,
-        }
     return {
         "objects": True,
         "compiled_columns": False,
@@ -167,8 +155,7 @@ def vector_limitation(
 
     The vector core keeps no per-instruction objects, so anything that
     wants to inspect them — the observability bus, pipeview timelines,
-    utilisation telemetry — or a split-window configuration (modelled
-    only by the reference core) forces the reference backend.
+    utilisation telemetry — forces the reference backend.
     """
     if observer is not None or getattr(config, "observe", False):
         return "observability requires the reference backend"
@@ -176,39 +163,7 @@ def vector_limitation(
         return "timeline recording requires the reference backend"
     if telemetry is not None:
         return "telemetry sampling requires the reference backend"
-    split = getattr(config, "split", None)
-    if split is not None and getattr(split, "enabled", False):
-        return "split-window configs require the reference backend"
     return None
-
-
-def eventsim_limitation(config) -> Optional[str]:
-    """Why this run cannot use the event-driven machine (None if it can).
-
-    The event engine models only split-window machines; continuous-
-    window configs delegate to ``reference``.
-    """
-    split = getattr(config, "split", None)
-    if split is None or not getattr(split, "enabled", False):
-        return "eventsim models split-window configs only"
-    return None
-
-
-def split_backend_for(config, backend_name: str) -> str:
-    """Which backend actually serves a split-window run.
-
-    Non-degenerate fabric settings exist only in the event-driven
-    machine, so they force ``eventsim`` regardless of the requested
-    backend; an explicit ``eventsim`` request is honoured; anything
-    else falls back to the legacy cycle-driven reference model (the
-    two are bit-identical wherever both are defined).
-    """
-    split = getattr(config, "split", None)
-    if split is None or not getattr(split, "enabled", False):
-        raise ValueError("not a split-window config")
-    if backend_name == "eventsim" or not split.fabric_degenerate:
-        return "eventsim"
-    return "reference"
 
 
 # ----------------------------------------------------------------------
@@ -243,18 +198,5 @@ def _vector_factory(
     return VectorProcessor(config, trace, dep_info)
 
 
-def _eventsim_factory(
-    config, trace, dep_info=None, observer=None, **kwargs
-):
-    if eventsim_limitation(config) is not None:
-        return _reference_factory(
-            config, trace, dep_info, observer=observer, **kwargs
-        )
-    from repro.eventsim.splitwindow import EventSplitWindowProcessor
-
-    return EventSplitWindowProcessor(config, trace, dep_info)
-
-
 register_backend("reference", _reference_factory)
 register_backend("vector", _vector_factory)
-register_backend("eventsim", _eventsim_factory)

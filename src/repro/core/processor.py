@@ -81,6 +81,11 @@ class Processor:
         telemetry: Optional["Telemetry"] = None,
         observer=None,
     ) -> None:
+        if config.split.enabled:
+            raise ValueError(
+                "split-window configs run on "
+                "repro.splitwindow.SplitWindowProcessor"
+            )
         self.config = config
         self.trace = trace
         #: Optional pipeview recorder (repro.core.timeline).
@@ -1172,14 +1177,25 @@ def simulate(
 ) -> SimResult:
     """Convenience wrapper: build a processor for *trace* and run it.
 
-    *backend* picks the simulator core (``"reference"`` or
+    *backend* picks the continuous-window core (``"reference"`` or
     ``"vector"``); None defers to ``config.backend`` and then the
     ``$REPRO_BACKEND`` environment variable. All backends produce
-    bit-identical results — see :mod:`repro.core.backend`.
+    bit-identical results — see :mod:`repro.core.backend`. A
+    split-window config runs on the split-window machine instead, which
+    takes no sampling plan and no observer.
     """
     from repro.core.backend import get_backend, resolve_backend
 
     name = resolve_backend(backend, config)
+    if config.split.enabled:
+        if plan is not None or observer is not None:
+            raise ValueError(
+                "the split-window machine takes no sampling plan "
+                "or observer"
+            )
+        from repro.splitwindow.processor import SplitWindowProcessor
+
+        return SplitWindowProcessor(config, trace, dep_info).run()
     processor = get_backend(name)(
         config, trace, dep_info, observer=observer
     )

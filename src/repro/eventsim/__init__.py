@@ -1,40 +1,9 @@
-"""Discrete-event simulation substrate (ROADMAP item 3).
+"""Compatibility alias for the split-window machine.
 
-``repro.eventsim`` provides a heapq-driven discrete-event engine
-(:mod:`repro.eventsim.engine`) with deterministic tie-breaking, a
-component/port message-passing decomposition, and an event-driven
-re-implementation of the split-window machine
-(:mod:`repro.eventsim.splitwindow`) whose cross-window sync fabric
-(:mod:`repro.eventsim.fabric`) exposes link latency, bandwidth, and
-banked-memory contention knobs the legacy cycle-driven model cannot
-express. At degenerate fabric settings the event-driven machine is
-bit-identical to :class:`repro.splitwindow.processor.SplitWindowProcessor`
-(enforced by ``tests/test_splitwindow_parity.py``).
-
-See ``docs/EVENTSIM.md`` for the engine model and determinism contract.
+The split window has one implementation,
+:class:`repro.splitwindow.processor.SplitWindowProcessor`.
+:mod:`repro.eventsim.splitwindow` keeps the old
+``EventSplitWindowProcessor`` name pointing at it, because the
+benchmark harness (``bench/child.py``, ``bench/tracing.py`` and
+``bench/tests/test_bench.py``) still imports that name.
 """
-
-from repro.eventsim.engine import (
-    Component,
-    Engine,
-    Event,
-    EventQueue,
-    Port,
-)
-from repro.eventsim.fabric import BankedMemory, SyncFabric
-from repro.eventsim.splitwindow import (
-    EventSplitWindowProcessor,
-    simulate_split_event,
-)
-
-__all__ = [
-    "BankedMemory",
-    "Component",
-    "Engine",
-    "Event",
-    "EventQueue",
-    "EventSplitWindowProcessor",
-    "Port",
-    "SyncFabric",
-    "simulate_split_event",
-]

@@ -1,565 +1,9 @@
-"""Event-driven split-window machine (Section 3.7, extended fabric).
+"""``EventSplitWindowProcessor``: the old name of the split-window machine.
 
-This re-implements :class:`repro.splitwindow.processor.SplitWindowProcessor`
-on top of the :mod:`repro.eventsim.engine` event loop. Each simulated
-cycle is decomposed into phase events with fixed priorities:
-
-====================  ========  ==========================================
-phase                 priority  does
-====================  ========  ==========================================
-fabric delivery       0         posted-store messages arrive; NAS posting
-                                becomes visible; delivery-time violation
-                                check (evented fabric only)
-task spawn            1         free units pick up the next tasks
-per-unit fetch        2         independent concurrent fetch (unit order)
-issue                 3         register readiness, ports, load gate,
-                                eager violation check, squash
-commit                4         whole tasks commit in order; schedules
-                                the next cycle's phases while work remains
-====================  ========  ==========================================
-
-**Parity contract.** At degenerate fabric settings (``link_latency == 0``,
-unbounded ``sync_bandwidth``, ``mem_banks == 0``) every phase body is the
-legacy model's code operating on the same state in the same order, store
-posting is synchronous exactly as in the legacy model, and no fabric
-delivery events exist — so the produced :class:`SimResult` is
-bit-identical for *any* scheduler latency and policy the legacy model
-accepts (enforced by ``tests/test_splitwindow_parity.py``).
-
-**Evented fabric.** When ``link_latency > 0`` or ``sync_bandwidth > 0``,
-a posted store address travels as a message: it becomes visible to the
-load gate at ``issue_attempt + 1 + addr_scheduler_latency + link_latency``
-(plus FIFO queueing behind the per-cycle bandwidth limit), and its
-arrival runs a *delivery-time* violation check: a dependent load that
-issued inside the visibility window — after the store issued (AS) or
-wrote (NAS) but before its message arrived — speculated against data the
-fabric had not yet shown it, and is squashed exactly like an
-eagerly-detected violation. The legacy model cannot express these
-machines and rejects non-degenerate fabric configs.
+``bench/child.py``, ``bench/tracing.py`` and ``bench/tests/test_bench.py``
+import it; remove it once the benchmark drops its ``eventsim`` layer.
 """
 
-from __future__ import annotations
+from repro.splitwindow.processor import SplitWindowProcessor
 
-import heapq
-from typing import Dict, List, Optional, Tuple
-
-from repro.config.processor import (
-    ProcessorConfig,
-    SchedulingModel,
-    SpeculationPolicy,
-)
-from repro.core.result import SimResult
-from repro.eventsim.engine import Component, Engine
-from repro.eventsim.fabric import BankedMemory, SyncFabric
-from repro.isa.opcodes import FP_CLASSES
-from repro.isa.registers import REG_ZERO
-from repro.memory.hierarchy import MemoryHierarchy
-from repro.splitwindow.processor import _Inst
-from repro.trace.dependences import DependenceInfo, compute_dependence_info
-from repro.trace.events import Trace
-
-#: Phase priorities — see the module docstring table.
-P_FABRIC = 0
-P_SPAWN = 1
-P_FETCH = 2
-P_ISSUE = 3
-P_COMMIT = 4
-
-
-class _FetchUnit(Component):
-    """One independent sub-window front end."""
-
-    def __init__(self, engine: Engine, machine, unit: int) -> None:
-        super().__init__(engine, f"fetch{unit}")
-        self.machine = machine
-        self.unit = unit
-
-    def phase(self) -> None:
-        self.machine._fetch_phase(self.unit)
-
-
-class _Scheduler(Component):
-    """Posting side of the global address scheduler's sync fabric."""
-
-    def __init__(self, engine: Engine, machine) -> None:
-        super().__init__(engine, "sched")
-        self.machine = machine
-
-
-class _Core(Component):
-    """Receiving side: fabric messages arrive here at P_FABRIC."""
-
-    def __init__(self, engine: Engine, machine) -> None:
-        super().__init__(engine, "core")
-        self.machine = machine
-
-    def receive(self, port: str, message) -> None:
-        seq, visible = message
-        self.machine._deliver(seq, visible)
-
-
-class EventSplitWindowProcessor:
-    """Split-window machine bound to one trace, event-driven."""
-
-    def __init__(
-        self,
-        config: ProcessorConfig,
-        trace: Trace,
-        dep_info: Optional[Dict[int, DependenceInfo]] = None,
-    ) -> None:
-        if not config.split.enabled:
-            raise ValueError("config.split.enabled must be True")
-        if config.memdep.policy not in (
-            SpeculationPolicy.NAIVE, SpeculationPolicy.NO
-        ):
-            raise ValueError(
-                "split-window model supports NAV and NO policies"
-            )
-        self.config = config
-        self.trace = trace
-        self.dep_info = (
-            dep_info if dep_info is not None
-            else compute_dependence_info(trace)
-        )
-        self.as_mode = config.memdep.scheduling is SchedulingModel.AS
-        self.memory = BankedMemory(
-            MemoryHierarchy(config),
-            config.split.mem_banks,
-            config.split.bank_ports,
-        )
-
-        task_size = config.split.task_size
-        self._insts: List[_Inst] = []
-        last_writer: Dict[int, int] = {}
-        for inst in trace:
-            producers = tuple(
-                last_writer[src]
-                for src in inst.srcs
-                if src != REG_ZERO and src in last_writer
-            )
-            self._insts.append(
-                _Inst(inst, inst.seq // task_size, producers)
-            )
-            if inst.dest is not None and inst.dest != REG_ZERO:
-                last_writer[inst.dest] = inst.seq
-        self.num_tasks = (
-            (len(trace) + task_size - 1) // task_size if len(trace) else 0
-        )
-
-    # ------------------------------------------------------------------
-
-    def _task_range(self, task: int) -> Tuple[int, int]:
-        size = self.config.split.task_size
-        return task * size, min((task + 1) * size, len(self._insts))
-
-    def run(self) -> SimResult:
-        config = self.config
-        stats = SimResult(
-            config_label=f"split{config.split.num_units} {config.label}",
-            benchmark=self.trace.name,
-            suite=self.trace.suite,
-        )
-        insts = self._insts
-        if not insts:
-            return stats
-        for record in insts:
-            record.reset()
-
-        self.stats = stats
-        self.units = units = config.split.num_units
-        self.per_unit_fetch = max(1, config.fetch.width // units)
-        self.per_unit_issue = max(1, config.window.issue_width // units)
-        self.latency_of = config.latencies.latency
-        self.sched_latency = config.memdep.addr_scheduler_latency
-        self.refill = config.memdep.squash_refill_penalty
-
-        self.commit_task = 0
-        self.running: List[Optional[int]] = [None] * units
-        self.next_task = 0
-        self.cursor: Dict[int, int] = {}
-        self.posted: Dict[int, _Inst] = {}
-        self.dep_loads: Dict[int, List[_Inst]] = {}
-        for record in insts:
-            info = self.dep_info.get(record.seq)
-            if info is not None:
-                self.dep_loads.setdefault(
-                    info.store_seq, []
-                ).append(record)
-        self.pending: List[Tuple[int, int, _Inst]] = []
-        self.serial = 0
-        self.task_resume_at = 0
-        self.guard_limit = 80 * len(insts) + 10_000
-        self.cycles_run = 0
-
-        engine = self.engine = Engine()
-        self.fabric = SyncFabric(
-            config.split.link_latency, config.split.sync_bandwidth
-        )
-        self.fetch_units = [
-            _FetchUnit(engine, self, u) for u in range(units)
-        ]
-        sched = self._sched = _Scheduler(engine, self)
-        core = _Core(engine, self)
-        sched.port("out").connect(
-            core.port("fabric_in"), latency=0, delivery_priority=P_FABRIC
-        )
-
-        self._schedule_cycle(1)
-        # Backstop against scheduling bugs; the real wedge guard is the
-        # legacy cycle counter in the commit phase.
-        engine.run(max_events=(units + 6) * (self.guard_limit + 2))
-
-        stats.cycles = self.cycles_run
-        stats.extra["eventsim"] = {
-            "events_fired": engine.queue.fired,
-            "events_cancelled": engine.queue.cancelled,
-            **self.fabric.stats(),
-            **self.memory.stats(),
-        }
-        return stats
-
-    # -- cycle choreography --------------------------------------------
-
-    def _schedule_cycle(self, time: int) -> None:
-        engine = self.engine
-        engine.schedule_at(time, self._spawn_phase, P_SPAWN, "spawn")
-        for unit in self.fetch_units:
-            engine.schedule_at(time, unit.phase, P_FETCH, unit.name)
-        engine.schedule_at(time, self._issue_phase, P_ISSUE, "issue")
-        engine.schedule_at(time, self._commit_phase, P_COMMIT, "commit")
-
-    def _spawn_phase(self) -> None:
-        cycle = self.engine.now
-        if cycle < self.task_resume_at:
-            return
-        running = self.running
-        for u in range(self.units):
-            if running[u] is None and self.next_task < self.num_tasks:
-                target = self.next_task % self.units
-                if running[target] is None:
-                    running[target] = self.next_task
-                    self.cursor.setdefault(
-                        self.next_task, self._task_range(self.next_task)[0]
-                    )
-                    self.next_task += 1
-
-    def _fetch_phase(self, u: int) -> None:
-        task = self.running[u]
-        if task is None:
-            return
-        cycle = self.engine.now
-        insts = self._insts
-        lo, hi = self._task_range(task)
-        pos = self.cursor[task]
-        for _ in range(self.per_unit_fetch):
-            if pos >= hi:
-                break
-            record = insts[pos]
-            record.dispatch_cycle = cycle
-            self.serial += 1
-            heapq.heappush(
-                self.pending, (record.seq, self.serial, record)
-            )
-            pos += 1
-        self.cursor[task] = pos
-
-    def _issue_phase(self) -> None:
-        cycle = self.engine.now
-        config = self.config
-        insts = self._insts
-        stats = self.stats
-        pending = self.pending
-        posted = self.posted
-        units = self.units
-        per_unit_issue = self.per_unit_issue
-        sched_latency = self.sched_latency
-        evented = self.fabric.evented
-
-        ports = config.window.memory_ports
-        issued_per_unit = [0] * units
-        fp_used = 0
-        requeue = []
-        squash_request: Optional[Tuple[int, int]] = None
-        while pending:
-            seq, n, record = heapq.heappop(pending)
-            unit = record.task % units
-            if record.dispatch_cycle is None:
-                continue  # squashed residue
-            if issued_per_unit[unit] >= per_unit_issue:
-                requeue.append((seq, n, record))
-                if len(requeue) > 4 * units * per_unit_issue:
-                    break
-                continue
-            # Register readiness.
-            ready = record.dispatch_cycle
-            blocked = False
-            for producer_seq in record.producers:
-                producer = insts[producer_seq]
-                done = (
-                    producer.write_cycle
-                    if producer.inst.is_store
-                    else producer.complete_cycle
-                )
-                if producer.seq >= record.seq:
-                    continue
-                if done is None:
-                    blocked = True
-                    break
-                ready = max(ready, done)
-            if blocked or ready > cycle:
-                requeue.append((seq, n, record))
-                continue
-
-            inst = record.inst
-            if inst.is_store:
-                if self.as_mode and record.posted_cycle is None:
-                    base = cycle + 1 + sched_latency
-                    if evented:
-                        record.posted_cycle = self._post(record, base)
-                    else:
-                        record.posted_cycle = base
-                    posted[record.seq] = record
-                if ports <= 0:
-                    requeue.append((seq, n, record))
-                    continue
-                ports -= 1
-                issued_per_unit[unit] += 1
-                record.issue_cycle = cycle
-                record.write_cycle = cycle + 2
-                record.complete_cycle = record.write_cycle
-                if not self.as_mode:
-                    if evented:
-                        # Visibility to other units waits for the
-                        # fabric; the message inserts into ``posted``.
-                        self._post(record, cycle + 1)
-                    else:
-                        posted[record.seq] = record
-                # Violation check happens when the store writes; do
-                # it eagerly here with the known write cycle.
-                for load in self.dep_loads.get(record.seq, ()):
-                    if (
-                        load.mem_issue_cycle is not None
-                        and load.mem_issue_cycle <= record.write_cycle
-                        and load.forwarded_from != record.seq
-                        and load.dispatch_cycle is not None
-                    ):
-                        stats.misspeculations += 1
-                        stats.squashed_instructions += max(
-                            0, self.cursor.get(load.task, load.seq)
-                            - load.seq
-                        )
-                        squash_request = (
-                            load.seq, record.write_cycle + self.refill
-                        )
-                        break
-                if squash_request:
-                    break
-            elif inst.is_load:
-                open_, waited = self._load_gate(record, cycle)
-                if not open_:
-                    requeue.append((seq, n, record))
-                    continue
-                if ports <= 0:
-                    requeue.append((seq, n, record))
-                    continue
-                ports -= 1
-                issued_per_unit[unit] += 1
-                record.issue_cycle = cycle
-                record.mem_issue_cycle = cycle
-                if waited is not None:
-                    record.forwarded_from = waited.seq
-                    record.complete_cycle = max(
-                        cycle + 1, waited.write_cycle + 1
-                    )
-                else:
-                    record.complete_cycle = self.memory.load(
-                        inst.addr, cycle
-                    )
-            else:
-                op = inst.op
-                if op in FP_CLASSES:
-                    if fp_used >= config.window.fu_copies:
-                        requeue.append((seq, n, record))
-                        continue
-                    fp_used += 1
-                issued_per_unit[unit] += 1
-                record.issue_cycle = cycle
-                record.complete_cycle = cycle + self.latency_of(op)
-
-        for item in requeue:
-            heapq.heappush(pending, item)
-        if squash_request is not None:
-            self._squash_from_seq(*squash_request)
-
-    def _commit_phase(self) -> None:
-        cycle = self.engine.now
-        insts = self._insts
-        stats = self.stats
-        while self.commit_task < self.num_tasks:
-            lo, hi = self._task_range(self.commit_task)
-            done = all(
-                (r.write_cycle if r.inst.is_store
-                 else r.complete_cycle) is not None
-                and (r.write_cycle if r.inst.is_store
-                     else r.complete_cycle) <= cycle
-                for r in insts[lo:hi]
-            )
-            if not done:
-                break
-            for r in insts[lo:hi]:
-                stats.committed += 1
-                if r.inst.is_load:
-                    stats.committed_loads += 1
-                elif r.inst.is_store:
-                    stats.committed_stores += 1
-                    self.posted.pop(r.seq, None)
-                elif r.inst.is_branch:
-                    stats.committed_branches += 1
-            for u in range(self.units):
-                if self.running[u] == self.commit_task:
-                    self.running[u] = None
-            self.commit_task += 1
-
-        self.cycles_run = cycle
-        if self.commit_task < self.num_tasks:
-            if cycle >= self.guard_limit:
-                raise RuntimeError("split-window simulation wedged")
-            self._schedule_cycle(cycle + 1)
-
-    # -- fabric --------------------------------------------------------
-
-    def _post(self, record: _Inst, base: int) -> int:
-        """Send the posted-address message; returns its visibility cycle."""
-        visible = self.fabric.claim(record.seq, base)
-        event = self._sched.port("out").send(
-            (record.seq, visible), extra_delay=visible - self.engine.now
-        )
-        self.fabric.register(record.seq, event)
-        return visible
-
-    def _deliver(self, seq: int, visible: int) -> None:
-        """A posted-store message arrived: finish posting, check loads.
-
-        The delivery-time violation check covers the loophole the
-        legacy model cannot see: a dependent load that issued *inside*
-        the visibility window — after the store issued (AS) or wrote
-        (NAS), but before the fabric delivered its address — consumed a
-        value the machine had no way to know was about to change.
-        """
-        self.fabric.delivered(seq)
-        if self.commit_task >= self.num_tasks:
-            return  # simulation already complete; message in dead air
-        record = self._insts[seq]
-        if self.as_mode:
-            lower = record.issue_cycle
-        else:
-            if record.issue_cycle is None:
-                return  # squash reset the store before arrival
-            self.posted[record.seq] = record
-            lower = record.write_cycle
-        if lower is None:
-            return  # posted on an issue attempt that never issued
-        commit_floor = self._task_range(self.commit_task)[0]
-        stats = self.stats
-        for load in self.dep_loads.get(seq, ()):
-            if (
-                load.seq >= commit_floor
-                and load.mem_issue_cycle is not None
-                and lower < load.mem_issue_cycle < visible
-                and load.forwarded_from != record.seq
-                and load.dispatch_cycle is not None
-            ):
-                stats.misspeculations += 1
-                stats.squashed_instructions += max(
-                    0, self.cursor.get(load.task, load.seq) - load.seq
-                )
-                self._squash_from_seq(
-                    load.seq, record.write_cycle + self.refill
-                )
-                break
-
-    # -- recovery ------------------------------------------------------
-
-    def _squash_from_seq(self, seq: int, resume: int) -> None:
-        """Squash the load at *seq* and everything younger.
-
-        Identical to the legacy model's recovery, plus cancellation of
-        in-flight fabric messages from squashed stores.
-        """
-        insts = self._insts
-        task = insts[seq].task
-        for u in range(self.units):
-            if self.running[u] is not None and self.running[u] > task:
-                self.running[u] = None
-        self.next_task = min(self.next_task, task + 1)
-        for record in insts[seq:]:
-            if record.dispatch_cycle is None and (
-                record.task > task + self.units
-            ):
-                break
-            record.reset()
-        for posted_seq in [s for s in self.posted if s >= seq]:
-            del self.posted[posted_seq]
-        self.fabric.cancel_from(seq)
-        self.pending = [
-            (s, n, r) for s, n, r in self.pending if r.seq < seq
-        ]
-        heapq.heapify(self.pending)
-        self.cursor[task] = seq
-        for later in range(task + 1, self.num_tasks):
-            self.cursor.pop(later, None)
-        self.task_resume_at = resume
-
-    # -- load gate -----------------------------------------------------
-
-    def _load_gate(
-        self, record: _Inst, cycle: int
-    ) -> Tuple[bool, Optional[_Inst]]:
-        """May this load access memory? Returns (open, forward-source)."""
-        inst = record.inst
-        posted = self.posted
-        if not self.as_mode:
-            # NAS: forward from the youngest older *issued* store if one
-            # overlaps; otherwise speculate against memory.
-            best = None
-            for seq, store in posted.items():
-                if seq >= record.seq or store.write_cycle is None:
-                    continue
-                if store.write_cycle > cycle:
-                    continue
-                s = store.inst
-                if s.addr < inst.addr + inst.size and (
-                    inst.addr < s.addr + s.size
-                ):
-                    if best is None or seq > best.seq:
-                        best = store
-            return True, best
-        # AS: inspect posted addresses of *older* stores (only those the
-        # units have fetched and posted — the split-window loophole).
-        match = None
-        for seq, store in posted.items():
-            if seq >= record.seq:
-                continue
-            visible = (store.posted_cycle or 0)
-            if visible > cycle:
-                continue
-            s = store.inst
-            if s.addr < inst.addr + inst.size and (
-                inst.addr < s.addr + s.size
-            ):
-                if match is None or seq > match.seq:
-                    match = store
-        if match is not None:
-            if match.write_cycle is None or match.write_cycle > cycle:
-                return False, None
-            return True, match
-        return True, None
-
-
-def simulate_split_event(
-    config: ProcessorConfig,
-    trace: Trace,
-    dep_info: Optional[Dict[int, DependenceInfo]] = None,
-) -> SimResult:
-    """Run the event-driven split-window model over *trace*."""
-    return EventSplitWindowProcessor(config, trace, dep_info).run()
+EventSplitWindowProcessor = SplitWindowProcessor

@@ -408,11 +408,11 @@ def figure7_sweep(
     0-cycle scheduler". This sweep asks how much worse a *realistic*
     cross-window fabric makes it: every cell runs the split machine
     (AS/NAV, 4 units) at one (scheduler latency, fabric bandwidth)
-    point. Bandwidth 0 means unbounded (the legacy idealization);
-    bounded-bandwidth cells are modelled by the event-driven backend,
-    where a posted store address travels as a message and a dependent
-    load that issues before the message arrives is a miss-speculation
-    the continuous machine could never commit.
+    point. Bandwidth 0 means unbounded (the ideal fabric); in
+    bounded-bandwidth cells a posted store address travels as a
+    message through the sync fabric, and a dependent load that issues
+    before the message arrives is a miss-speculation the continuous
+    machine could never commit.
 
     Each bandwidth column's miss-speculation counts must be
     non-decreasing in scheduler latency within the fuzzer's calibrated

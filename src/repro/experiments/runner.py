@@ -23,11 +23,7 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.config.presets import config_name
 from repro.config.processor import ProcessorConfig
-from repro.core.backend import (
-    resolve_backend,
-    split_backend_for,
-    vector_limitation,
-)
+from repro.core.backend import resolve_backend, vector_limitation
 from repro.core.processor import Processor
 from repro.core.result import SimResult
 from repro.splitwindow.processor import SplitWindowProcessor
@@ -169,11 +165,12 @@ def run_benchmark(
     is active — see :func:`repro.experiments.store.set_store`), then
     an actual simulation. Fresh simulations populate both layers.
 
-    *backend* selects the simulator core (precedence: argument >
-    ``config.backend`` > ``$REPRO_BACKEND`` > ``"reference"``).
-    Backends are bit-identical, so cache keys ignore the choice — a
-    result produced by either backend satisfies both; fresh results
-    record their producer in ``extra["backend"]``.
+    *backend* selects the continuous-window core (precedence:
+    argument > ``config.backend`` > ``$REPRO_BACKEND`` >
+    ``"reference"``). Backends are bit-identical, so cache keys ignore
+    the choice — a result produced by either backend satisfies both;
+    fresh results record their producer in ``extra["backend"]``. Split
+    configs always run on the split-window machine (``"split"``).
     """
     from repro.experiments.store import active_store
 
@@ -195,20 +192,13 @@ def run_benchmark(
     if config.split.enabled:
         # The split-window model has no functional-warm mode; its caches
         # warm during the run, and comparisons against it use the same
-        # treatment on both sides. Non-degenerate fabric settings exist
-        # only in the event-driven machine and force it; at degenerate
-        # settings the two models are bit-identical.
-        backend_name = split_backend_for(config, backend_name)
+        # treatment on both sides.
+        backend_name = "split"
         trace = get_trace(name, plan.length, settings.seed)
         info = _dependences_for_length(
             name, plan.length, settings.seed, trace=trace
         )
-        if backend_name == "eventsim":
-            from repro.eventsim.splitwindow import EventSplitWindowProcessor
-
-            result = EventSplitWindowProcessor(config, trace, info).run()
-        else:
-            result = SplitWindowProcessor(config, trace, info).run()
+        result = SplitWindowProcessor(config, trace, info).run()
     elif backend_name == "vector" and vector_limitation(config) is None:
         from repro.core.vector import VectorProcessor
 

@@ -19,7 +19,18 @@ This model captures exactly the properties the section's argument needs:
   address-based scheduler with configurable latency, loads inspect it
   before accessing memory (AS/NAV), or ignore it (NAS/NAV);
 * a true-dependence violation squashes the offending task and all
-  younger tasks, which then re-execute.
+  younger tasks, which then re-execute;
+* the sync fabric between the units (:mod:`repro.splitwindow.fabric`)
+  can add link latency, bounded bandwidth and banked memory to the
+  ideal, synchronous posting.
+
+Each cycle runs, in order: fabric deliveries due this cycle (by visible
+cycle, then send order), task spawn, per-unit fetch in unit order,
+issue, commit. With the ideal fabric (the default) no message is ever
+sent and posting is synchronous. Otherwise a posted address is a
+message that becomes visible ``link_latency`` cycles later, plus any
+queueing behind the per-cycle bandwidth limit, and its arrival checks
+for dependent loads that issued while it was in flight.
 
 It is deliberately simpler than the continuous-window core — the paper
 uses the split model only for the qualitative contrast of Figure 7.
@@ -39,6 +50,7 @@ from repro.core.result import SimResult
 from repro.isa.opcodes import FP_CLASSES
 from repro.isa.registers import REG_ZERO
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.splitwindow.fabric import BankedMemory, SyncFabric
 from repro.trace.dependences import DependenceInfo, compute_dependence_info
 from repro.trace.events import Trace
 
@@ -86,12 +98,6 @@ class SplitWindowProcessor:
             raise ValueError(
                 "split-window model supports NAV and NO policies"
             )
-        if not config.split.fabric_degenerate:
-            raise ValueError(
-                "non-degenerate sync-fabric settings (link latency, "
-                "bounded bandwidth, banked memory) are modelled only by "
-                "the event-driven backend (repro.eventsim)"
-            )
         self.config = config
         self.trace = trace
         self.dep_info = (
@@ -99,7 +105,11 @@ class SplitWindowProcessor:
             else compute_dependence_info(trace)
         )
         self.as_mode = config.memdep.scheduling is SchedulingModel.AS
-        self.hierarchy = MemoryHierarchy(config)
+        split = config.split
+        self.memory = BankedMemory(
+            MemoryHierarchy(config), split.mem_banks, split.bank_ports
+        )
+        self.fabric = SyncFabric(split.link_latency, split.sync_bandwidth)
 
         task_size = config.split.task_size
         self._insts: List[_Inst] = []
@@ -129,15 +139,17 @@ class SplitWindowProcessor:
             suite=self.trace.suite,
         )
         insts = self._insts
-        if not insts:
-            return stats
-
         units = config.split.num_units
         per_unit_fetch = max(1, config.fetch.width // units)
         per_unit_issue = max(1, config.window.issue_width // units)
         latency_of = config.latencies.latency
         sched_latency = config.memdep.addr_scheduler_latency
         refill = config.memdep.squash_refill_penalty
+        as_mode = self.as_mode
+        fabric = self.fabric
+        evented = fabric.evented
+        inbox = fabric.heap
+        memory_load = self.memory.load
 
         #: Oldest not-yet-committed task.
         commit_task = 0
@@ -146,7 +158,7 @@ class SplitWindowProcessor:
         next_task = 0
         #: Per task: index of next instruction to dispatch.
         cursor: Dict[int, int] = {}
-        #: Posted store addresses: seq -> (visible cycle, inst).
+        #: Posted store addresses by seq.
         posted: Dict[int, _Inst] = {}
         #: Dependent loads by producing store seq.
         dep_loads: Dict[int, List[_Inst]] = {}
@@ -158,7 +170,7 @@ class SplitWindowProcessor:
         pending: List[Tuple[int, int, _Inst]] = []  # (seq, serial, inst)
         serial = 0
         cycle = 0
-        guard = 0
+        guard_limit = 80 * len(insts) + 10_000
 
         def task_range(task: int) -> Tuple[int, int]:
             size = config.split.task_size
@@ -186,6 +198,7 @@ class SplitWindowProcessor:
                 record.reset()
             for posted_seq in [s for s in posted if s >= seq]:
                 del posted[posted_seq]
+            fabric.cancel_from(seq)
             pending = [
                 (s, n, r) for s, n, r in pending if r.seq < seq
             ]
@@ -198,11 +211,46 @@ class SplitWindowProcessor:
 
         task_resume_at = 0
 
+        def deliver(seq: int, visible: int) -> None:
+            """A posted-address message arrived: finish posting, and
+            squash a dependent load that issued while it was in flight.
+
+            Such a load issued after the store issued (AS) or wrote
+            (NAS) but before the fabric showed other units its address,
+            so it consumed a value the machine could not know was about
+            to change.
+            """
+            record = insts[seq]
+            lower = record.issue_cycle if as_mode else record.write_cycle
+            if lower is None:
+                return  # posted on an issue attempt that never issued
+            if not as_mode:
+                posted[seq] = record
+            commit_floor = commit_task * config.split.task_size
+            for load in dep_loads.get(seq, ()):
+                if (
+                    load.seq >= commit_floor
+                    and load.mem_issue_cycle is not None
+                    and lower < load.mem_issue_cycle < visible
+                    and load.forwarded_from != seq
+                    and load.dispatch_cycle is not None
+                ):
+                    stats.misspeculations += 1
+                    stats.squashed_instructions += max(
+                        0, cursor.get(load.task, load.seq) - load.seq
+                    )
+                    squash_from_seq(load.seq, record.write_cycle + refill)
+                    break
+
         while commit_task < self.num_tasks:
-            guard += 1
-            if guard > 80 * len(insts) + 10_000:
-                raise RuntimeError("split-window simulation wedged")
             cycle += 1
+            if cycle > guard_limit:
+                raise RuntimeError("split-window simulation wedged")
+
+            # --- fabric deliveries due this cycle ---
+            if inbox and inbox[0][0] <= cycle:
+                for seq, visible in fabric.due(cycle):
+                    deliver(seq, visible)
 
             # --- spawn tasks onto free units (in order) ---
             if cycle >= task_resume_at:
@@ -271,9 +319,12 @@ class SplitWindowProcessor:
 
                 inst = record.inst
                 if inst.is_store:
-                    if self.as_mode and record.posted_cycle is None:
-                        record.posted_cycle = cycle + 1 + sched_latency
-                        posted[record.seq] = record
+                    if as_mode and record.posted_cycle is None:
+                        base = cycle + 1 + sched_latency
+                        record.posted_cycle = (
+                            fabric.send(seq, base) if evented else base
+                        )
+                        posted[seq] = record
                     if ports <= 0:
                         requeue.append((seq, n, record))
                         continue
@@ -282,8 +333,12 @@ class SplitWindowProcessor:
                     record.issue_cycle = cycle
                     record.write_cycle = cycle + 2
                     record.complete_cycle = record.write_cycle
-                    if not self.as_mode:
-                        posted[record.seq] = record
+                    if not as_mode:
+                        if evented:
+                            # Visible to other units on delivery.
+                            fabric.send(seq, cycle + 1)
+                        else:
+                            posted[seq] = record
                     # Violation check happens when the store writes; do
                     # it eagerly here with the known write cycle.
                     for load in dep_loads.get(record.seq, ()):
@@ -324,7 +379,7 @@ class SplitWindowProcessor:
                             cycle + 1, waited.write_cycle + 1
                         )
                     else:
-                        record.complete_cycle = self.hierarchy.load(
+                        record.complete_cycle = memory_load(
                             inst.addr, cycle
                         )
                 else:
@@ -370,6 +425,7 @@ class SplitWindowProcessor:
                 commit_task += 1
 
         stats.cycles = cycle
+        stats.extra["fabric"] = {**fabric.stats(), **self.memory.stats()}
         return stats
 
     def _load_gate(

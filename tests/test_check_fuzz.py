@@ -153,7 +153,7 @@ def test_minimize_shrinks_while_failure_persists(monkeypatch):
     assert fuzz_mod.run_cell(small)  # still reproduces
 
 
-# -- R6: split-window cells (event-driven fabric) ----------------------
+# -- R6: split-window cells ------------------------------------------
 
 
 def _split_cell(**overrides):

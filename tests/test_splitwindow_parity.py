@@ -1,26 +1,20 @@
-"""Golden-number parity for the split-window model, on BOTH engines.
+"""Golden numbers for the split-window machine.
 
 Mirrors ``test_golden_parity.py``: a committed fixture pins the exact
-``SimResult`` integers for a matrix of split-window cells (unit count x
-task size x scheduling/policy x scheduler latency), and every cell is
-replayed against *both* the legacy cycle-driven model
-(``repro.splitwindow``) and the event-driven model (``repro.eventsim``)
-at degenerate fabric settings, where the two are contractually
-bit-identical (see ``docs/EVENTSIM.md``).
+``SimResult`` integers for a matrix of split-window cells, replayed on
+:class:`repro.splitwindow.SplitWindowProcessor`:
 
-A mismatch therefore localizes immediately:
+* ideal-fabric cells over unit count x task size x scheduling/policy x
+  scheduler latency;
+* fabric cells (link latency, bounded bandwidth, banked memory) at the
+  headline 4 x 32 organization, which also pin the fabric and bank
+  counters the machine reports under ``extra["fabric"]``.
 
-* both engines drift from the fixture together -> the split-window
-  *semantics* changed (intentional? regenerate);
-* only ``eventsim`` drifts -> the event decomposition broke parity.
+The fabric cells were recorded by the discrete-event machine this one
+replaced, so they also pin that its delivery order and squash
+cancellation carried over unchanged.
 
-Fabric cells (non-degenerate link latency, bandwidth or banking, at the
-headline 4 x 32 organization) exist only in the event-driven machine;
-they pin its sync-fabric and bank counters next to the ``SimResult``
-fields.
-
-Regenerate the fixture (legacy engine is the authority at degenerate
-settings, the event machine for fabric cells) with::
+Regenerate the fixture (only for an intentional semantic change) with::
 
     PYTHONPATH=src python tests/test_splitwindow_parity.py --regen
 """
@@ -33,7 +27,6 @@ import pytest
 
 from repro.config import SchedulingModel, SpeculationPolicy
 from repro.config.presets import split_window
-from repro.eventsim import simulate_split_event
 from repro.splitwindow import simulate_split
 from repro.trace.dependences import compute_dependence_info
 from repro.workloads.catalog import get_trace
@@ -57,18 +50,13 @@ FIELDS = (
     "icache_misses", "l2_accesses", "l2_misses",
 )
 
-#: Sync-fabric and bank counters pinned for fabric cells.
+#: Sync-fabric and bank counters, pinned for fabric cells only.
 COUNTERS = (
     "fabric_posted", "fabric_queued", "fabric_max_queue_delay",
     "bank_accesses", "bank_conflicts", "bank_conflict_cycles",
 )
 
-ENGINES = {
-    "legacy": simulate_split,
-    "eventsim": simulate_split_event,
-}
-
-#: label suffix -> non-degenerate fabric knobs.
+#: label suffix -> fabric knobs of a fabric cell.
 FABRIC_POINTS = {
     "link1": {"link_latency": 1},
     "link3": {"link_latency": 3},
@@ -90,7 +78,7 @@ FABRIC_SCHEDULES = {
 
 
 def parity_configs():
-    """label -> split-window config (degenerate fabric only)."""
+    """label -> split-window config, ideal-fabric cells then fabric cells."""
     configs = {}
     for units, task in ((2, 16), (4, 32), (8, 16)):
         configs[f"u{units}t{task}-AS-NAV-lat0"] = split_window(
@@ -111,19 +99,12 @@ def parity_configs():
     configs["u4t32-NAS-NO"] = split_window(
         SchedulingModel.NAS, SpeculationPolicy.NO,
     )
+    for schedule, (scheduling, policy, latency) in FABRIC_SCHEDULES.items():
+        for point, knobs in FABRIC_POINTS.items():
+            configs[f"u4t32-{schedule}-{point}"] = split_window(
+                scheduling, policy, latency, **knobs
+            )
     return configs
-
-
-def fabric_configs():
-    """label -> split-window config with a non-degenerate fabric."""
-    return {
-        f"u4t32-{schedule}-{point}": split_window(
-            scheduling, policy, latency, **knobs
-        )
-        for schedule, (scheduling, policy, latency)
-        in FABRIC_SCHEDULES.items()
-        for point, knobs in FABRIC_POINTS.items()
-    }
 
 
 def _cell_id(benchmark, label):
@@ -136,22 +117,18 @@ CELLS = [
     for label in parity_configs()
 ]
 
-FABRIC_CELLS = [
-    (benchmark, length, label)
-    for benchmark, length in BENCHMARKS
-    for label in fabric_configs()
-]
 
-
-def simulate_cell(benchmark, length, config, engine):
+def simulate_cell(benchmark, length, config):
     trace = get_trace(benchmark, length, seed=0)
     dep_info = compute_dependence_info(trace)
-    result = ENGINES[engine](config, trace, dep_info)
+    result = simulate_split(config, trace, dep_info)
     measured = {field: getattr(result, field) for field in FIELDS}
-    counters = result.extra.get("eventsim", {})
-    measured.update(
-        {name: counters[name] for name in COUNTERS if name in counters}
-    )
+    if config.split.link_latency or config.split.sync_bandwidth or (
+        config.split.mem_banks
+    ):
+        measured.update(
+            {name: result.extra["fabric"][name] for name in COUNTERS}
+        )
     return measured
 
 
@@ -169,80 +146,45 @@ def golden():
 
 # ``bench`` not ``benchmark``: the latter collides with the
 # pytest-benchmark plugin's fixture of that name.
-@pytest.mark.parametrize("engine", sorted(ENGINES))
 @pytest.mark.parametrize(
     "bench,length,label",
     CELLS,
     ids=[_cell_id(b, lab) for b, _, lab in CELLS],
 )
-def test_split_results_match_fixture(golden, bench, length, label,
-                                     engine):
-    _check_cell(golden, bench, length, label, parity_configs(), engine)
-
-
-@pytest.mark.parametrize(
-    "bench,length,label",
-    FABRIC_CELLS,
-    ids=[_cell_id(b, lab) for b, _, lab in FABRIC_CELLS],
-)
-def test_fabric_results_match_fixture(golden, bench, length, label):
-    _check_cell(golden, bench, length, label, fabric_configs(), "eventsim")
-
-
-def _check_cell(golden, bench, length, label, configs, engine):
+def test_split_results_match_fixture(golden, bench, length, label):
     cell_id = _cell_id(bench, label)
     assert cell_id in golden["cells"], (
         f"cell {cell_id} absent from fixture — regenerate with --regen"
     )
     expected = golden["cells"][cell_id]
-    measured = simulate_cell(bench, length, configs[label], engine)
+    measured = simulate_cell(bench, length, parity_configs()[label])
     drifted = {
         field: (want, measured.get(field))
         for field, want in expected.items()
         if want != measured.get(field)
     }
     assert not drifted, (
-        f"{engine} engine drifted from golden fixture on {cell_id}: "
+        f"split-window machine drifted from golden fixture on {cell_id}: "
         + ", ".join(
             f"{field} {want} -> {got}"
             for field, (want, got) in sorted(drifted.items())
         )
         + ". If the split-window semantics changed intentionally, "
-        "regenerate with --regen; if only eventsim drifted, the event "
-        "decomposition broke the parity contract."
+        "regenerate with --regen."
     )
-
-
-def test_engines_agree_without_fixture():
-    """Direct legacy-vs-eventsim equality on one cell, fixture aside.
-
-    Cheap insurance against a stale fixture masking an engine split:
-    even right after --regen, these two must agree.
-    """
-    config = parity_configs()["u4t32-AS-NAV-lat1"]
-    legacy = simulate_cell("126.gcc", 4_000, config, "legacy")
-    event = simulate_cell("126.gcc", 4_000, config, "eventsim")
-    assert legacy == {field: event[field] for field in FIELDS}
 
 
 def regenerate():
     cells = {}
     for benchmark, length in BENCHMARKS:
-        for configs, engine in (
-            (parity_configs(), "legacy"), (fabric_configs(), "eventsim"),
-        ):
-            for label, config in configs.items():
-                cell_id = _cell_id(benchmark, label)
-                cells[cell_id] = simulate_cell(
-                    benchmark, length, config, engine
-                )
-                print(f"  {cell_id}: cycles={cells[cell_id]['cycles']}")
+        for label, config in parity_configs().items():
+            cell_id = _cell_id(benchmark, label)
+            cells[cell_id] = simulate_cell(benchmark, length, config)
+            print(f"  {cell_id}: cycles={cells[cell_id]['cycles']}")
     doc = {
         "description": (
-            "Golden split-window SimResult numbers (legacy engine is "
-            "the authority; eventsim must match bit-for-bit at "
-            "degenerate fabric settings). Fabric cells come from the "
-            "event machine and also pin its fabric and bank counters."
+            "Golden split-window SimResult numbers; fabric cells also "
+            "pin the sync-fabric and bank counters."
         ),
         "benchmarks": [list(pair) for pair in BENCHMARKS],
         "cells": cells,

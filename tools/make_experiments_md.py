@@ -85,14 +85,14 @@ Figures 5–6) compete to recover — **F2**. Conservation
 **What a real fabric costs.** Figure 7 proper shows the split window
 miss-speculating where the continuous window does not, even with a
 0-cycle scheduler. This sweep prices the axes the paper holds ideal.
-The `inf`-bandwidth column is the legacy idealization: posted store
+The `inf`-bandwidth column is the ideal fabric: posted store
 addresses appear everywhere at once, so extra scheduler latency only
 lets a few more loads slip past the gate before visibility and the
-rate barely moves. The bounded columns run on the event-driven
-backend (`docs/EVENTSIM.md`), where a posted address is a *message*:
-a dependent load issuing after the store but before the message
-arrives consumed a value the fabric had not yet shown it — a
-miss-speculation no continuous window would commit. That visibility
+rate barely moves. In the bounded columns a posted address is a
+*message* through the split window's sync fabric
+(`docs/SPLITWINDOW.md`): a dependent load issuing after the store but
+before the message arrives consumed a value the fabric had not yet
+shown it — a miss-speculation no continuous window would commit. That visibility
 window roughly doubles the miss-speculation rate the moment the
 scheduler has any latency at all, and tightening bandwidth from 4 to
 1 message/cycle adds queueing delay on top (monotonically — the note

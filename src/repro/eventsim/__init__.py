@@ -1,9 +1,4 @@
-"""Compatibility alias for the split-window machine.
+"""Old home of the split-window machine, now :mod:`repro.splitwindow`.
 
-The split window has one implementation,
-:class:`repro.splitwindow.processor.SplitWindowProcessor`.
-:mod:`repro.eventsim.splitwindow` keeps the old
-``EventSplitWindowProcessor`` name pointing at it, because the
-benchmark harness (``bench/child.py``, ``bench/tracing.py`` and
-``bench/tests/test_bench.py``) still imports that name.
+Only the :mod:`repro.eventsim.splitwindow` alias remains.
 """

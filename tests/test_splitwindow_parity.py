@@ -123,9 +123,8 @@ def simulate_cell(benchmark, length, config):
     dep_info = compute_dependence_info(trace)
     result = simulate_split(config, trace, dep_info)
     measured = {field: getattr(result, field) for field in FIELDS}
-    if config.split.link_latency or config.split.sync_bandwidth or (
-        config.split.mem_banks
-    ):
+    split = config.split
+    if split.link_latency or split.sync_bandwidth or split.mem_banks:
         measured.update(
             {name: result.extra["fabric"][name] for name in COUNTERS}
         )

@@ -14,6 +14,10 @@ The fabric cells were recorded by the discrete-event machine this one
 replaced, so they also pin that its delivery order and squash
 cancellation carried over unchanged.
 
+Every cell replays under both names the machine is reached by (see
+``ENTRY_POINTS``); the ``-legacy``/``-eventsim`` id suffixes are those of
+the two engines that were merged into it.
+
 Regenerate the fixture (only for an intentional semantic change) with::
 
     PYTHONPATH=src python tests/test_splitwindow_parity.py --regen
@@ -27,7 +31,8 @@ import pytest
 
 from repro.config import SchedulingModel, SpeculationPolicy
 from repro.config.presets import split_window
-from repro.splitwindow import simulate_split
+from repro.eventsim.splitwindow import EventSplitWindowProcessor
+from repro.splitwindow import SplitWindowProcessor
 from repro.trace.dependences import compute_dependence_info
 from repro.workloads.catalog import get_trace
 
@@ -38,6 +43,14 @@ FIXTURE = os.path.join(
 #: (benchmark, trace length) — one pointer-heavy integer stand-in, one
 #: regular FP stand-in, same pair the continuous-window golden suite pins.
 BENCHMARKS = (("126.gcc", 4_000), ("102.swim", 4_000))
+
+#: id suffix -> name the split-window machine is reached by: its home
+#: module, and the alias the benchmark harness imports (bench/child.py,
+#: bench/tracing.py). Both must replay the pinned numbers.
+ENTRY_POINTS = {
+    "eventsim": EventSplitWindowProcessor,
+    "legacy": SplitWindowProcessor,
+}
 
 #: Every integer field of SimResult that the split model produces.
 FIELDS = (
@@ -118,10 +131,10 @@ CELLS = [
 ]
 
 
-def simulate_cell(benchmark, length, config):
+def simulate_cell(benchmark, length, config, entry="legacy"):
     trace = get_trace(benchmark, length, seed=0)
     dep_info = compute_dependence_info(trace)
-    result = simulate_split(config, trace, dep_info)
+    result = ENTRY_POINTS[entry](config, trace, dep_info).run()
     measured = {field: getattr(result, field) for field in FIELDS}
     split = config.split
     if split.link_latency or split.sync_bandwidth or split.mem_banks:
@@ -145,25 +158,27 @@ def golden():
 
 # ``bench`` not ``benchmark``: the latter collides with the
 # pytest-benchmark plugin's fixture of that name.
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 @pytest.mark.parametrize(
     "bench,length,label",
     CELLS,
     ids=[_cell_id(b, lab) for b, _, lab in CELLS],
 )
-def test_split_results_match_fixture(golden, bench, length, label):
+def test_split_results_match_fixture(golden, bench, length, label, entry):
     cell_id = _cell_id(bench, label)
     assert cell_id in golden["cells"], (
         f"cell {cell_id} absent from fixture — regenerate with --regen"
     )
     expected = golden["cells"][cell_id]
-    measured = simulate_cell(bench, length, parity_configs()[label])
+    measured = simulate_cell(bench, length, parity_configs()[label], entry)
     drifted = {
         field: (want, measured.get(field))
         for field, want in expected.items()
         if want != measured.get(field)
     }
     assert not drifted, (
-        f"split-window machine drifted from golden fixture on {cell_id}: "
+        f"split-window machine ({entry}) drifted from golden fixture on "
+        f"{cell_id}: "
         + ", ".join(
             f"{field} {want} -> {got}"
             for field, (want, got) in sorted(drifted.items())

@@ -9,14 +9,16 @@ the reference core becomes one slot of a preallocated array indexed by
 ``is entry`` tests) becomes an *incarnation serial*: ``serial[seq]``
 increments each time ``seq`` is (re-)dispatched after a squash, and any
 record that captured ``(seq, ref)`` is stale exactly when
-``ref != serial[seq]``.
+``ref != serial[seq]``. The module imports nothing outside the
+standard library.
 
 The port must stay bit-identical to the reference — the golden-parity
 suite and CI's ``backend-parity`` job compare every :class:`SimResult`
-field. Anything this core cannot express (observability, timelines,
-telemetry, split windows) is routed to the reference backend by
-:func:`repro.core.backend.vector_limitation`; this class rejects those
-arguments outright.
+field. Observability, timelines and telemetry are routed to the
+reference backend by :func:`repro.core.backend.vector_limitation`, and
+split-window configs run on
+:class:`repro.splitwindow.SplitWindowProcessor`; this class rejects
+those arguments outright.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from repro.core.processor import (
     _GATE_PREDICTED,
     _GATE_SYNC,
 )
-from repro.core import kernels as _kernels
 from repro.core.result import SimResult
 from repro.isa.opcodes import OpClass
 from repro.isa.registers import REG_ZERO
@@ -59,40 +60,34 @@ from repro.memdep.sync import MDPT
 from repro.memdep.tables import TwoBitPredictorTable
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.store_buffer import StoreBuffer, StoreBufferEntry
-from repro.trace.compiled import CompiledTrace, _mask_bit, _op_table
+from repro.trace.compiled import (
+    CompiledTrace,
+    _mask_bit,
+    _op_table,
+    compile_trace,
+)
 from repro.trace.dependences import DependenceInfo
 from repro.trace.sampling import SamplingPlan, make_sampling_plan
 
-try:  # optional: vectorized column decode (pure-Python fallback below)
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-free environments
-    _np = None
-if _np is not None and not _kernels.numpy_active():
-    # REPRO_VECTOR_NO_NUMPY forces the pure-Python twins everywhere,
-    # including column decode (checked at import: CI's fallback leg
-    # sets the variable before the interpreter starts).
-    _np = None
-
 _TAKEN_MAP = (None, False, True)
+
+#: Set bit positions (LSB-first) of every byte value.
+_SET_BITS = tuple(
+    tuple(bit for bit in range(8) if byte >> bit & 1) for byte in range(256)
+)
 
 
 def _null_indices(mask: bytes, n: int) -> List[int]:
     """Row indices set in a one-bit-per-row null bitmap (LSB-first)."""
-    if _np is not None:
-        bits = _np.unpackbits(
-            _np.frombuffer(mask, dtype=_np.uint8), bitorder="little"
-        )[:n]
-        return _np.nonzero(bits)[0].tolist()
     out: List[int] = []
     for bi, byte in enumerate(mask):
-        if not byte:
-            continue
-        base = bi << 3
-        for bit in range(8):
-            if byte & (1 << bit):
-                i = base + bit
-                if i < n:
-                    out.append(i)
+        if byte:
+            base = bi << 3
+            for bit in _SET_BITS[byte]:
+                out.append(base + bit)
+    # Only the last byte can carry bits past the final row.
+    while out and out[-1] >= n:
+        out.pop()
     return out
 
 
@@ -179,8 +174,8 @@ def _columns_from_compiled(compiled: CompiledTrace) -> _Columns:
     col.addr = compiled.addr.tolist()
     value = compiled.value.tolist()
     target = compiled.target.tolist()
-    # Null bitmaps decode whole-column (np.unpackbits + nonzero when
-    # numpy is present, a sparse per-byte walk otherwise).
+    # Null bitmaps are dense (most rows have no value or target), so
+    # the walk visits set bits through a per-byte table.
     for mask, out in (
         (compiled.value_null, value),
         (compiled.target_null, target),
@@ -190,15 +185,8 @@ def _columns_from_compiled(compiled: CompiledTrace) -> _Columns:
     # dest: None packs as 0 and REG_ZERO == 0; both mean "no register
     # result" to dispatch/commit/squash, so fold them to -1. (addr nulls
     # stay 0 — only memory ops read the addr column.)
-    if _np is not None:
-        darr = _np.frombuffer(compiled.dest, dtype=_np.int64)
-        col.dest_eff = _np.where(darr == 0, -1, darr).tolist()
-        col.taken = _np.asarray(_TAKEN_MAP, dtype=object)[
-            _np.frombuffer(compiled.taken, dtype=_np.uint8)
-        ].tolist()
-    else:
-        col.dest_eff = [d if d else -1 for d in compiled.dest]
-        col.taken = [_TAKEN_MAP[b] for b in compiled.taken]
+    col.dest_eff = [d if d else -1 for d in compiled.dest]
+    col.taken = [_TAKEN_MAP[b] for b in compiled.taken]
     col.srcs_off = compiled.srcs_off
     col.srcs_flat = compiled.srcs_flat.tolist()
     for column, table in compiled.overflow.items():
@@ -244,66 +232,9 @@ def _columns_from_compiled(compiled: CompiledTrace) -> _Columns:
     return col
 
 
-def _columns_from_trace(trace) -> _Columns:
-    """Fallback: build the same columns from a materialized Trace."""
-    instructions = trace.instructions
-    n = len(instructions)
-    col = _Columns()
-    col.n = n
-    col.name = trace.name
-    col.suite = getattr(trace, "suite", None)
-    ops = tuple(OpClass)
-    op_index = {op: i for i, op in enumerate(ops)}
-    col.ops = ops
-    opb = bytearray(n)
-    col.pc = pc = [0] * n
-    col.size = size = [0] * n
-    col.addr = addr = [0] * n
-    col.value = value = [None] * n
-    col.target = target = [None] * n
-    col.taken = taken = [None] * n
-    col.dest_eff = dest_eff = [-1] * n
-    srcs_off = [0] * (n + 1)
-    srcs_flat: List[int] = []
-    for i, inst in enumerate(instructions):
-        opb[i] = op_index[inst.op]
-        pc[i] = inst.pc
-        size[i] = inst.size
-        if inst.addr is not None:
-            addr[i] = inst.addr
-        value[i] = inst.value
-        target[i] = inst.target
-        taken[i] = inst.taken
-        d = inst.dest
-        if d is not None and d != REG_ZERO:
-            dest_eff[i] = d
-        srcs_flat.extend(inst.srcs)
-        srcs_off[i + 1] = len(srcs_flat)
-    col.opb = bytes(opb)
-    col.srcs_off = srcs_off
-    col.srcs_flat = srcs_flat
-    col.is_load_b = col.opb.translate(
-        _class_table(ops, lambda op: op is OpClass.LOAD)
-    )
-    col.is_store_b = col.opb.translate(
-        _class_table(ops, lambda op: op is OpClass.STORE)
-    )
-    col.branch_b = col.opb.translate(
-        _class_table(ops, lambda op: op.branch_class)
-    )
-    col.mem_b = col.opb.translate(
-        _class_table(ops, lambda op: op.mem_class)
-    )
-    col.fp_b = col.opb.translate(
-        _class_table(ops, lambda op: op.fp_class)
-    )
-    _attach_producers(col)
-    return col
-
-
 def _attach_dependences(
     col: _Columns,
-    source,
+    compiled: CompiledTrace,
     dep_info: Optional[Dict[int, DependenceInfo]],
 ) -> None:
     """Fill ``dep_of``/``stale_of`` (static: identical every dispatch)."""
@@ -317,22 +248,16 @@ def _attach_dependences(
             dep_of[seq] = info.store_seq
             if not info.stale_equal:
                 stale_of[seq] = 0
-    elif isinstance(source, CompiledTrace) and source.has_dependences:
-        stale = source.dep_stale
+    elif compiled.has_dependences:
+        stale = compiled.dep_stale
         for i, (load, store) in enumerate(
-            zip(source.dep_load, source.dep_store)
+            zip(compiled.dep_load, compiled.dep_store)
         ):
             dep_of[load] = store
             if not _mask_bit(stale, i):
                 stale_of[load] = 0
     else:
-        if isinstance(source, CompiledTrace):
-            info = source.compute_dependence_info()
-        else:
-            from repro.trace.dependences import compute_dependence_info
-
-            info = compute_dependence_info(source)
-        for seq, rec in info.items():
+        for seq, rec in compiled.compute_dependence_info().items():
             dep_of[seq] = rec.store_seq
             if not rec.stale_equal:
                 stale_of[seq] = 0
@@ -347,8 +272,7 @@ class _VAddrSched:
 
     __slots__ = (
         "latency", "_unposted", "_seqs", "_addrs", "_sizes",
-        "_visibles", "_blocks", "_max_visible", "posts", "searches",
-        "_np_search", "_mut", "_ck", "_cs", "_ca", "_cz", "_cv",
+        "_visibles", "_blocks", "_max_visible",
     )
 
     def __init__(self, latency: int) -> None:
@@ -360,20 +284,6 @@ class _VAddrSched:
         self._visibles: List[int] = []
         self._blocks: dict = {}
         self._max_visible = -1
-        self.posts = 0
-        self.searches = 0
-        # Broadcast conflict-search kernel state: the live-store frontier
-        # mirrored as numpy arrays, rebuilt lazily when the mutation
-        # epoch (``_mut``) has moved past the cached one (``_ck``).
-        self._np_search = (
-            _kernels.conflict_search_np if _kernels.numpy_active() else None
-        )
-        self._mut = 0
-        self._ck = -1
-        self._cs = self._ca = self._cz = self._cv = None
-
-    def on_store_dispatch(self, seq: int) -> None:
-        self._unposted.append(seq)
 
     def post_address(
         self, seq: int, addr: int, size: int, cycle: int
@@ -406,8 +316,6 @@ class _VAddrSched:
             blocks[block] = blocks.get(block, 0) + 1
         if visible > self._max_visible:
             self._max_visible = visible
-        self.posts += 1
-        self._mut += 1
         return visible
 
     def _uncover(self, index: int) -> None:
@@ -430,7 +338,6 @@ class _VAddrSched:
             del self._addrs[index]
             del self._sizes[index]
             del self._visibles[index]
-            self._mut += 1
 
     def squash(self, from_seq: int) -> None:
         cut = bisect.bisect_left(self._unposted, from_seq)
@@ -442,7 +349,6 @@ class _VAddrSched:
         del self._addrs[cut:]
         del self._sizes[cut:]
         del self._visibles[cut:]
-        self._mut += 1
 
     def all_older_posted(self, seq: int, cycle: int) -> bool:
         if self._unposted and self._unposted[0] < seq:
@@ -461,7 +367,6 @@ class _VAddrSched:
         self, seq: int, addr: int, size: int, cycle: int
     ) -> int:
         """Seq of the youngest older visible overlapping store, or -1."""
-        self.searches += 1
         blocks = self._blocks
         end = addr + size
         for block in range(addr >> 3, ((end - 1) >> 3) + 1):
@@ -470,26 +375,6 @@ class _VAddrSched:
         else:
             return -1
         seqs = self._seqs
-        search_np = self._np_search
-        if (
-            search_np is not None
-            and len(seqs) >= _kernels.CONFLICT_MIN_STORES
-        ):
-            # Broadcast the compare over the whole live-store frontier
-            # instead of reverse-scanning it one record at a time. The
-            # frontier arrays are cached across searches and rebuilt
-            # only when a post/remove/squash moved the epoch.
-            if self._ck != self._mut:
-                np = _kernels.np
-                self._cs = np.asarray(seqs, dtype=np.int64)
-                self._ca = np.asarray(self._addrs, dtype=np.int64)
-                self._cz = np.asarray(self._sizes, dtype=np.int64)
-                self._cv = np.asarray(self._visibles, dtype=np.int64)
-                self._ck = self._mut
-            return search_np(
-                (seq,), (addr,), (size,),
-                self._cs, self._ca, self._cz, self._cv, cycle,
-            )[0]
         addrs = self._addrs
         sizes = self._sizes
         visibles = self._visibles
@@ -506,9 +391,9 @@ class VectorProcessor:
     """One simulated machine bound to one (compiled) trace.
 
     Accepts a :class:`CompiledTrace` (fast path) or a materialized
-    :class:`~repro.trace.events.Trace` (columns are rebuilt from the
-    objects). ``run(plan)`` returns the same bit-identical
-    :class:`SimResult` as the reference :class:`Processor`.
+    :class:`~repro.trace.events.Trace` (compiled first). ``run(plan)``
+    returns the same bit-identical :class:`SimResult` as the reference
+    :class:`Processor`.
     """
 
     def __init__(
@@ -523,17 +408,17 @@ class VectorProcessor:
     ) -> None:
         if config.split.enabled:
             raise ValueError(
-                "split-window configs require the reference backend"
+                "split-window configs run on "
+                "repro.splitwindow.SplitWindowProcessor"
             )
         if config.observe:
             raise ValueError(
                 "observability requires the reference backend"
             )
         self.config = config
-        if isinstance(trace, CompiledTrace):
-            col = _columns_from_compiled(trace)
-        else:
-            col = _columns_from_trace(trace)
+        if not isinstance(trace, CompiledTrace):
+            trace = compile_trace(trace)
+        col = _columns_from_compiled(trace)
         _attach_dependences(col, trace, dep_info)
         self.col = col
         self.hierarchy = MemoryHierarchy(config)
@@ -808,7 +693,11 @@ class VectorProcessor:
         self.fu_int = 0
         self.fu_fp = 0
         self.fu_ports = 0
-        self.rp: List = []            # ready pool: (seq, ref) heap
+        # Ready pool: a plain int heap; the pushing incarnation is kept
+        # in ``rp_ref`` instead of a tuple. Two records for one seq can
+        # coexist after a squash + re-dispatch; the pop consumes exactly
+        # one (the duplicate skips on ``in_rp``).
+        self.rp: List = []
         self.load_items: List = []    # mem pool: (seq, push_serial, ref)
         self.load_dead = 0
         self.load_live: Optional[List[int]] = None
@@ -936,15 +825,6 @@ class VectorProcessor:
         f_stop = self.f_stop
         elide = self._elide
         as_mode = self.as_mode
-        # Frontier-batched kernels (repro.core.kernels): the numpy twins
-        # engage only above the frontier-size thresholds, and not at all
-        # when numpy is absent or REPRO_VECTOR_NO_NUMPY is set. Read at
-        # segment start so tests can patch thresholds per run.
-        use_np_kernels = _kernels.numpy_active()
-        wakeup_np = _kernels.wakeup_scatter_np if use_np_kernels else None
-        wakeup_min = _kernels.WAKEUP_MIN_FRONTIER
-        issue_np = _kernels.issue_select_np if use_np_kernels else None
-        issue_min = _kernels.ISSUE_MIN_FRONTIER
         record = self.elided_ranges if self._record_elisions else None
         has_tables = (
             self.predictor is not None
@@ -1083,8 +963,7 @@ class VectorProcessor:
                                 heappush(rp, s)
                         elif kind == ev_complete:
                             # Completion + wakeup walk (was _on_complete):
-                            # drain every waiter of ``s`` in one pass —
-                            # the scalar twin of the CSR wakeup scatter.
+                            # drain every waiter of ``s`` in one pass.
                             done = comp[s]
                             if done > cycle:
                                 # Pushed out (selective re-execution).
@@ -1092,89 +971,7 @@ class VectorProcessor:
                                 continue
                             execd[s] = 1
                             wl = waiters[s]
-                            if (
-                                wl and wakeup_np is not None
-                                and len(wl) >= wakeup_min
-                            ):
-                                # Wide frontier: apply the whole waiter
-                                # scatter in one kernel call, then run
-                                # the readiness dispatch once per
-                                # distinct consumer. Same outcome as
-                                # the record-by-record walk below: a
-                                # consumer only becomes ready at its
-                                # last record (each record decrements a
-                                # pend count readiness requires at
-                                # zero), and push order is not
-                                # observable for ready events (heap)
-                                # or mem-pool pushes (seq-sorted).
-                                lseq = []
-                                ldat = []
-                                for wrec in wl:
-                                    wseq = wrec[0]
-                                    if (
-                                        wrec[2] != serial[wseq]
-                                        or sq[wseq]
-                                    ):
-                                        continue
-                                    lseq.append(wseq)
-                                    ldat.append(wrec[1])
-                                for wseq in wakeup_np(
-                                    lseq, ldat, done,
-                                    a_pend, d_pend, a_rdy, d_rdy,
-                                ):
-                                    if issue[wseq] >= 0 or in_rp[wseq]:
-                                        if (
-                                            as_mode and is_store_b[wseq]
-                                            and agen[wseq] >= 0
-                                            and not d_pend[wseq]
-                                            and not in_mp[wseq]
-                                            and write[wseq] < 0
-                                        ):
-                                            if mp_push(
-                                                self.swp_items, wseq
-                                            ):
-                                                self.swp_live = None
-                                            dirty = True
-                                        continue
-                                    if is_store_b[wseq] and not as_mode:
-                                        if a_pend[wseq] or d_pend[wseq]:
-                                            continue
-                                        ready_at = a_rdy[wseq]
-                                        if d_rdy[wseq] > ready_at:
-                                            ready_at = d_rdy[wseq]
-                                    else:
-                                        if a_pend[wseq]:
-                                            continue
-                                        ready_at = a_rdy[wseq]
-                                    wref = serial[wseq]
-                                    if ready_at <= cycle:
-                                        in_rp[wseq] = 1
-                                        rp_ref[wseq] = wref
-                                        heappush(rp, wseq)
-                                    elif ready_at == cycle + 1:
-                                        self._nx_time = ready_at
-                                        nx.append(
-                                            (ev_ready, wseq, wref)
-                                        )
-                                    else:
-                                        b = evq.get(ready_at)
-                                        if b is None:
-                                            evq[ready_at] = [
-                                                (ev_ready, wseq, wref)
-                                            ]
-                                            heappush(evt, ready_at)
-                                        else:
-                                            b.append(
-                                                (ev_ready, wseq, wref)
-                                            )
-                                if as_mode:
-                                    cl = consumers[s]
-                                    if cl:
-                                        cl.extend(wl)
-                                    else:
-                                        consumers[s] = wl
-                                waiters[s] = []
-                            elif wl:
+                            if wl:
                                 for wseq, is_data, wref in wl:
                                     if wref != serial[wseq] or sq[wseq]:
                                         continue
@@ -1325,87 +1122,7 @@ class VectorProcessor:
             # (A skipped scan needs no hint merge: ``mem_wake`` stands
             # as its own term in the advance-clock horizon above.)
             # -- issue (inlined _issue_exec) ----------------------------
-            batched = False
-            if issue_np is not None and len(rp) >= issue_min:
-                # Batched issue selection: drain up to the scan budget
-                # of valid candidates and cut by width and FU copies in
-                # one kernel call. Only a store-free, all-ready frontier
-                # takes the kernel — stores interact through ports and
-                # store-load synchronization, and a not-ready candidate
-                # changes the scan accounting — anything else restores
-                # the pool untouched (collection only pops, it has no
-                # other effects) and the scalar walk below runs as-is.
-                cand = []
-                while len(cand) < scan_budget and rp:
-                    t = heappop(rp)
-                    if rp_ref[t] != serial[t] or not in_rp[t]:
-                        continue
-                    in_rp[t] = 0
-                    if sq[t]:
-                        continue
-                    cand.append(t)
-                for t in cand:
-                    if is_store_b[t] or a_pend[t] or a_rdy[t] > cycle:
-                        break
-                else:
-                    batched = bool(cand)
-                if batched:
-                    take, defer = issue_np(
-                        [fp_b[t] for t in cand],
-                        issue_width, fu_copies,
-                    )
-                    for i in take:
-                        s = cand[i]
-                        issue[s] = cycle
-                        if is_load_b[s]:
-                            done = cycle + 1
-                            agen[s] = done
-                            if not in_mp[s]:
-                                in_mp[s] = 1
-                                mps = self._mp_serial + 1
-                                self._mp_serial = mps
-                                li = self.load_items
-                                if not li or s > li[-1][0]:
-                                    li.append((s, mps, serial[s]))
-                                else:
-                                    insort(li, (s, mps, serial[s]))
-                                self.load_live = None
-                            best = self._hint
-                            if best < 0 or done < best:
-                                self._hint = done
-                        else:
-                            done = cycle + lat[opb[s]]
-                            comp[s] = done
-                            if done == cycle + 1:
-                                self._nx_time = done
-                                nx.append((ev_complete, s, serial[s]))
-                            else:
-                                b = evq.get(done)
-                                if b is None:
-                                    evq[done] = [
-                                        (ev_complete, s, serial[s])
-                                    ]
-                                    heappush(evt, done)
-                                else:
-                                    b.append(
-                                        (ev_complete, s, serial[s])
-                                    )
-                    for i in defer:
-                        s = cand[i]
-                        in_rp[s] = 1
-                        rp_ref[s] = serial[s]
-                        heappush(rp, s)
-                    self.mem_dirty = True
-                    if kt:
-                        _now = _pcns()
-                        _pns["exec_issue"] += _now - _t
-                        _pcalls["exec_issue"] += 1
-                        _t = _now
-                else:
-                    for t in cand:
-                        in_rp[t] = 1
-                        heappush(rp, t)
-            if rp and not batched:
+            if rp:
                 scans = scan_budget
                 deferred = []
                 ie_progress = False
@@ -2042,18 +1759,6 @@ class VectorProcessor:
                         self.sync_ws_ref[s] = ref
 
     # -- readiness -----------------------------------------------------
-
-    def _rp_push(self, s: int) -> None:
-        # The ready pool is a plain int heap: the incarnation that pushed
-        # is captured in ``rp_ref`` instead of a tuple. Two records for
-        # the same seq can coexist after a squash + re-dispatch; the pop
-        # consumes exactly one (the duplicate skips on ``in_rp``), at the
-        # same heap position equal keys would occupy either way.
-        if self.in_rp[s] or self.sq[s]:
-            return
-        self.in_rp[s] = 1
-        self.rp_ref[s] = self.serial[s]
-        heapq.heappush(self.rp, s)
 
     def _mp_push(self, items: List, s: int) -> bool:
         """Push *s* onto a mem pool. Returns True if pushed."""

@@ -179,3 +179,39 @@ def test_run_benchmark_records_producing_backend(monkeypatch):
         assert again is vec
     finally:
         clear_results()
+
+
+_STDLIB_ONLY_CELL = """
+import sys
+import repro.core.vector
+from repro.config.presets import continuous_window_128
+from repro.config.processor import SchedulingModel, SpeculationPolicy
+from repro.experiments.runner import ExperimentSettings, run_benchmark
+
+config = continuous_window_128(SchedulingModel.AS, SpeculationPolicy.NAIVE)
+settings = ExperimentSettings(timing_instructions=600, warmup_instructions=400)
+result = run_benchmark("132.ijpeg", config, settings, backend="vector")
+assert result.extra["backend"] == "vector", result.extra
+assert result.committed == 600, result.committed
+assert "numpy" not in sys.modules, "the vector core imported numpy"
+"""
+
+
+def test_vector_core_runs_on_the_stdlib_alone():
+    """A fresh interpreter runs one vector cell without loading numpy,
+    even on hosts where it is installed."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    env = {
+        k: v for k, v in os.environ.items() if not k.startswith("REPRO_")
+    }
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STDLIB_ONLY_CELL],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

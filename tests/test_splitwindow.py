@@ -19,6 +19,7 @@ from repro.config import (
 )
 from repro.core import Processor, simulate
 from repro.core.backend import UnknownBackendError, resolve_backend
+from repro.core.vector import VectorProcessor
 from repro.experiments.runner import (
     ExperimentSettings,
     _config_key,
@@ -249,8 +250,9 @@ def test_simulate_runs_split_configs_on_split_machine():
     result = simulate(config, trace)
     assert asdict(result) == asdict(simulate_split(config, trace))
     assert (result.cycles, result.misspeculations) == (3421, 112)
-    with pytest.raises(ValueError, match="split-window"):
-        Processor(config, trace)
+    for core in (Processor, VectorProcessor):
+        with pytest.raises(ValueError, match="SplitWindowProcessor"):
+            core(config, trace)
 
 
 def test_run_benchmark_runs_split_configs_on_split_machine():

@@ -16,10 +16,9 @@ class BranchTargetBuffer:
             raise ValueError("set count must be a power of two")
         self._sets = sets
         self._assoc = assoc
-        # Each set: list of (tag, target) in LRU order (front = MRU).
-        self._table: List[List[Tuple[int, int]]] = [
-            [] for _ in range(sets)
-        ]
+        # Each set: list of (tag, target) in LRU order (front = MRU), or
+        # None until the set is first written.
+        self._table: List[Optional[List[Tuple[int, int]]]] = [None] * sets
         self.hits = 0
         self.misses = 0
 
@@ -32,12 +31,13 @@ class BranchTargetBuffer:
         """Predicted target for *pc*, or None on a BTB miss."""
         index, tag = self._locate(pc)
         ways = self._table[index]
-        for i, (way_tag, target) in enumerate(ways):
-            if way_tag == tag:
-                if i:
-                    ways.insert(0, ways.pop(i))
-                self.hits += 1
-                return target
+        if ways is not None:
+            for i, (way_tag, target) in enumerate(ways):
+                if way_tag == tag:
+                    if i:
+                        ways.insert(0, ways.pop(i))
+                    self.hits += 1
+                    return target
         self.misses += 1
         return None
 
@@ -45,6 +45,9 @@ class BranchTargetBuffer:
         """Install or refresh the target for *pc* (LRU replacement)."""
         index, tag = self._locate(pc)
         ways = self._table[index]
+        if ways is None:
+            self._table[index] = [(tag, target)]
+            return
         for i, (way_tag, _) in enumerate(ways):
             if way_tag == tag:
                 ways.pop(i)
@@ -55,4 +58,7 @@ class BranchTargetBuffer:
 
     def occupancy(self) -> Dict[int, int]:
         """Set index -> number of valid ways (diagnostics)."""
-        return {i: len(ways) for i, ways in enumerate(self._table) if ways}
+        return {
+            i: len(ways) for i, ways in enumerate(self._table)
+            if ways is not None
+        }

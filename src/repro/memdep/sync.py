@@ -31,15 +31,21 @@ class _Side:
     """One set-associative side (loads or stores) mapping pc -> synonym."""
 
     def __init__(self, entries: int, assoc: int) -> None:
+        if entries % assoc:
+            raise ValueError("entries must divide by associativity")
         sets = entries // assoc
         if sets & (sets - 1):
             raise ValueError("set count must be a power of two")
         self._sets = sets
         self._assoc = assoc
-        self._table: List[List[List[int]]] = [[] for _ in range(sets)]
+        # Each set: list of [tag, synonym] in LRU order (front = MRU), or
+        # None until the set is first written.
+        self._table: List[Optional[List[List[int]]]] = [None] * sets
 
     def lookup(self, pc: int) -> Optional[int]:
         ways = self._table[(pc >> 2) & (self._sets - 1)]
+        if ways is None:
+            return None
         tag = pc >> 2
         for i, way in enumerate(ways):
             if way[0] == tag:
@@ -49,8 +55,12 @@ class _Side:
         return None
 
     def insert(self, pc: int, synonym: int) -> None:
-        ways = self._table[(pc >> 2) & (self._sets - 1)]
+        index = (pc >> 2) & (self._sets - 1)
+        ways = self._table[index]
         tag = pc >> 2
+        if ways is None:
+            self._table[index] = [[tag, synonym]]
+            return
         for i, way in enumerate(ways):
             if way[0] == tag:
                 way[1] = synonym
@@ -62,17 +72,18 @@ class _Side:
             ways.pop()
 
     def flush(self) -> None:
-        for ways in self._table:
-            ways.clear()
+        self._table = [None] * self._sets
 
     def occupancy(self) -> int:
-        return sum(len(ways) for ways in self._table)
+        return sum(len(ways) for ways in self._table if ways is not None)
 
 
 class MDPT:
     """The speculation/synchronization predictor (load and store sides)."""
 
     def __init__(self, entries: int = 4096, assoc: int = 2) -> None:
+        if entries % 2:
+            raise ValueError("entries must split evenly into two sides")
         # Separate entries for loads and stores: split the capacity.
         self._loads = _Side(entries // 2, assoc)
         self._stores = _Side(entries // 2, assoc)

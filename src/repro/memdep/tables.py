@@ -34,8 +34,9 @@ class TwoBitPredictorTable:
         self._assoc = assoc
         self._threshold = threshold
         self._counter_max = counter_max
-        # Each set: list of [tag, counter] in LRU order (front = MRU).
-        self._table: List[List[List[int]]] = [[] for _ in range(sets)]
+        # Each set: list of [tag, counter] in LRU order (front = MRU), or
+        # None until the set is first written.
+        self._table: List[Optional[List[List[int]]]] = [None] * sets
         self.allocations = 0
         self.evictions = 0
 
@@ -44,6 +45,8 @@ class TwoBitPredictorTable:
 
     def _find(self, pc: int) -> Optional[List[int]]:
         ways = self._table[self._set_of(pc)]
+        if ways is None:
+            return None
         tag = pc >> 2
         for i, way in enumerate(ways):
             if way[0] == tag:
@@ -61,9 +64,13 @@ class TwoBitPredictorTable:
         """Strengthen the dependence prediction for *pc*."""
         way = self._find(pc)
         if way is None:
-            ways = self._table[self._set_of(pc)]
-            ways.insert(0, [pc >> 2, 1])
             self.allocations += 1
+            index = self._set_of(pc)
+            ways = self._table[index]
+            if ways is None:
+                self._table[index] = [[pc >> 2, 1]]
+                return
+            ways.insert(0, [pc >> 2, 1])
             if len(ways) > self._assoc:
                 ways.pop()
                 self.evictions += 1
@@ -80,8 +87,7 @@ class TwoBitPredictorTable:
 
     def flush(self) -> None:
         """Reset every counter (the paper's periodic adaptation)."""
-        for ways in self._table:
-            ways.clear()
+        self._table = [None] * self._sets
 
     def occupancy(self) -> int:
-        return sum(len(ways) for ways in self._table)
+        return sum(len(ways) for ways in self._table if ways is not None)

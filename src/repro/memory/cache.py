@@ -9,7 +9,7 @@ the next level; the access completes when the fill returns.
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Callable, List, Optional
 
 from repro.config.processor import CacheConfig
 from repro.memory.mshr import MSHRFile
@@ -50,17 +50,19 @@ class SetAssocCache:
         self._bank_mask = config.banks - 1
         if config.banks & self._bank_mask:
             raise ValueError("bank count must be a power of two")
-        self._set_mask = config.sets_per_bank - 1
-        self._set_shift = self._bank_mask.bit_length()
+        # The bank is the low block bits and the set within the bank the
+        # next ones, so one mask over both names a (bank, set) pair.
+        sets = config.banks * config.sets_per_bank
+        self._index_mask = sets - 1
         # Hot-path copies of immutable config values.
         self._hit_latency = config.hit_latency
         self._fill_delta = config.miss_latency - config.hit_latency
         self._assoc = config.assoc
-        # tags[bank][set] = list of block tags in LRU order (front = MRU).
-        self._tags: List[List[List[int]]] = [
-            [[] for _ in range(config.sets_per_bank)]
-            for _ in range(config.banks)
-        ]
+        # tags[block & index_mask] = list of block tags in LRU order
+        # (front = MRU), or None for a set never written: most sets of
+        # a 4 MB L2 stay untouched in a short run, so creating the
+        # lists up front would dominate construction.
+        self._tags: List[Optional[List[int]]] = [None] * sets
         self._mshrs = MSHRFile(
             config.banks,
             config.mshr_primary_per_bank,
@@ -76,12 +78,6 @@ class SetAssocCache:
 
     def block_address(self, addr: int) -> int:
         return addr >> self._block_shift
-
-    def _bank_of(self, block: int) -> int:
-        return block & self._bank_mask
-
-    def _set_of(self, block: int) -> int:
-        return (block >> (self._bank_mask.bit_length())) & self._set_mask
 
     # -- access -----------------------------------------------------------
 
@@ -102,12 +98,16 @@ class SetAssocCache:
             start = bank_free[bank]
         bank_free[bank] = start + 1
 
-        ways = self._tags[bank][(block >> self._set_shift) & self._set_mask]
+        tags = self._tags
+        index = block & self._index_mask
+        ways = tags[index]
         tag = block
         mshr_bank = self._mshrs.bank(bank)
         # MRU fast path first: locality makes ``ways[0]`` the common
         # case, and it needs neither the membership scan nor a reorder.
-        if ways and ways[0] == tag:
+        if ways is None:
+            hit = False
+        elif ways[0] == tag:
             hit = True
         elif tag in ways:
             ways.insert(0, ways.pop(ways.index(tag)))
@@ -138,39 +138,38 @@ class SetAssocCache:
         # Install without the membership re-scan: the miss path has
         # just proven the tag absent, and ``_next_level`` cannot
         # re-enter this level's tag array.
-        ways.insert(0, tag)
-        if len(ways) > self._assoc:
-            ways.pop()
+        if ways is None:
+            tags[index] = [tag]
+        else:
+            ways.insert(0, tag)
+            if len(ways) > self._assoc:
+                ways.pop()
         return AccessResult(max(ready, start + 1), False)
-
-    def _install(self, ways: List[int], tag: int) -> None:
-        if tag in ways:
-            return
-        ways.insert(0, tag)
-        if len(ways) > self._assoc:
-            ways.pop()
 
     def touch(self, addr: int) -> None:
         """Install the block holding *addr* with no timing side effects.
 
         Used by functional warm-up: the block becomes resident
-        immediately, without occupying a bank slot or an MSHR.
+        immediately, without occupying a bank slot or an MSHR. A block
+        already resident keeps its LRU position, even when not MRU.
         """
         block = addr >> self._block_shift
-        ways = self._tags[block & self._bank_mask][
-            (block >> self._set_shift) & self._set_mask
-        ]
-        if ways and ways[0] == block:
-            return
-        self._install(ways, block)
+        index = block & self._index_mask
+        ways = self._tags[index]
+        if ways is None:
+            self._tags[index] = [block]
+        elif block not in ways:
+            ways.insert(0, block)
+            if len(ways) > self._assoc:
+                ways.pop()
 
     # -- introspection ------------------------------------------------------
 
     def contains(self, addr: int) -> bool:
         """True if the block holding *addr* is resident (tests only)."""
         block = self.block_address(addr)
-        ways = self._tags[self._bank_of(block)][self._set_of(block)]
-        return block in ways
+        ways = self._tags[block & self._index_mask]
+        return ways is not None and block in ways
 
     @property
     def accesses(self) -> int:

@@ -45,3 +45,10 @@ def test_occupancy():
     btb = BranchTargetBuffer(entries=64, assoc=2)
     btb.update(0x100, 0x200)
     assert sum(btb.occupancy().values()) == 1
+
+
+def test_lookup_on_untouched_set_is_a_miss():
+    btb = BranchTargetBuffer(entries=64, assoc=2)
+    assert btb.lookup(0x100) is None
+    assert (btb.hits, btb.misses) == (0, 1)
+    assert btb.occupancy() == {}

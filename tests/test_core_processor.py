@@ -1,5 +1,7 @@
 """Integration tests for the continuous-window processor core."""
 
+import gc
+
 import pytest
 
 from repro.config import (
@@ -11,6 +13,8 @@ from repro.config import (
 from repro.core.processor import Processor, simulate
 from repro.isa.instruction import DynInst
 from repro.isa.opcodes import OpClass
+from repro.memory.hierarchy import MemoryHierarchy
+from repro.trace.dependences import compute_dependence_info
 from repro.trace.events import Trace
 from repro.trace.sampling import SamplingPlan, Segment
 from repro.vm.interpreter import run_program
@@ -207,3 +211,33 @@ def test_flush_interval_configurable(recurrence_trace):
     # the default long interval.
     default = _run(recurrence_trace, NAS, SpeculationPolicy.SYNC)
     assert result.misspeculations >= default.misspeculations
+
+
+def _objects_added_by(build):
+    """GC-tracked objects that *build()* allocates and keeps."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        _machine = build()  # kept alive until counted
+        return len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+
+
+def test_processor_construction_allocates_no_table_sets(recurrence_trace):
+    """Cache, BTB and predictor sets are created when first written, so
+    building a machine costs tens of objects, not one per set (eager
+    Table 2 tables made 21,061 for NAS/SYNC)."""
+    dep_info = compute_dependence_info(recurrence_trace)
+    cfg = continuous_window_128(NAS, SpeculationPolicy.SYNC)
+    assert _objects_added_by(
+        lambda: Processor(cfg, recurrence_trace, dep_info)
+    ) < 500
+
+
+def test_hierarchy_construction_allocates_no_cache_sets():
+    """The 4 MB L2 and the two L1s alone made 17,982 objects eagerly."""
+    assert _objects_added_by(
+        lambda: MemoryHierarchy(continuous_window_128())
+    ) < 100

@@ -1,5 +1,7 @@
 """Unit tests for the MDPT with synonym indirection."""
 
+import pytest
+
 from repro.memdep.sync import MDPT
 
 
@@ -49,6 +51,10 @@ def test_flush_clears_predictions():
     mdpt.flush()
     assert mdpt.predict_load(0x40) is None
     assert mdpt.occupancy() == 0
+    synonym = mdpt.record_violation(0x40, 0x80)
+    assert mdpt.predict_load(0x40).synonym == synonym
+    assert mdpt.predict_store(0x80).synonym == synonym
+    assert mdpt.occupancy() == 2
 
 
 def test_capacity_replacement():
@@ -57,3 +63,12 @@ def test_capacity_replacement():
     for i in range(4):
         mdpt.record_violation((i * 2) << 2, 0x1000 + ((i * 2) << 2))
     assert mdpt.occupancy() <= 8
+
+
+def test_validation():
+    with pytest.raises(ValueError):
+        MDPT(entries=4098, assoc=2)  # 2049 per side: not 2-way
+    with pytest.raises(ValueError):
+        MDPT(entries=4097, assoc=1)  # odd total: the sides cannot split
+    with pytest.raises(ValueError):
+        MDPT(entries=96, assoc=2)  # 24 sets per side

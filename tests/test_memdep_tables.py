@@ -40,6 +40,10 @@ def test_flush_resets_everything():
     table.flush()
     assert not table.predicts_dependence(0x40)
     assert table.occupancy() == 0
+    for _ in range(3):
+        table.record_misspeculation(0x40)
+    assert table.predicts_dependence(0x40)
+    assert table.occupancy() == 1
 
 
 def test_set_associative_replacement():

@@ -1,6 +1,7 @@
 """Unit tests for the set-associative cache."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config.processor import CacheConfig
 from repro.memory.cache import SetAssocCache
@@ -93,3 +94,74 @@ def test_stats():
 def test_bad_bank_count():
     with pytest.raises(ValueError):
         _small_cache(banks=3, size_bytes=32 * 2 * 3 * 4)
+
+
+# ---------------------------------------------------------------------------
+# Random geometries vs a per-(bank, set) LRU model
+# ---------------------------------------------------------------------------
+
+#: Cycles between two operations: past every fill below (next level 50,
+#: miss latency 10), so every MSHR has retired and no access merges.
+_SPACING = 1000
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_random_geometry_matches_lru_model(data):
+    banks = data.draw(st.sampled_from((1, 2, 4, 8)), label="banks")
+    sets = data.draw(st.sampled_from((1, 2, 4, 8, 16)), label="sets")
+    assoc = data.draw(st.integers(1, 4), label="assoc")
+    block_bytes = data.draw(st.sampled_from((16, 32, 64)), label="block")
+    cache, calls = _small_cache(
+        size_bytes=block_bytes * banks * sets * assoc,
+        assoc=assoc, block_bytes=block_bytes, banks=banks,
+    )
+    block_shift = block_bytes.bit_length() - 1
+    bank_bits = banks.bit_length() - 1
+    universe = 4 * banks * sets * assoc  # blocks, so sets overflow
+    ops = data.draw(st.lists(
+        st.tuples(
+            st.sampled_from(("access", "touch")),
+            st.integers(0, universe - 1),
+            st.integers(0, block_bytes - 1),
+            st.booleans(),
+        ),
+        min_size=1, max_size=60,
+    ), label="ops")
+
+    model = {}  # (bank, set) -> block tags, MRU first
+
+    def model_set(block):
+        bank = block & (banks - 1)
+        return model.setdefault((bank, (block >> bank_bits) & (sets - 1)), [])
+
+    expected_calls = []
+    for step, (op, block, offset, write) in enumerate(ops):
+        addr = (block << block_shift) | offset
+        ways = model_set(block)
+        resident = block in ways
+        if op == "access":
+            cycle = step * _SPACING
+            result = cache.access(addr, cycle, write)
+            assert result.hit == resident
+            if resident:
+                ways.remove(block)
+            else:
+                expected_calls.append((
+                    block << block_shift,
+                    cycle + cache.config.hit_latency,
+                    write,
+                ))
+            ways.insert(0, block)
+        else:
+            cache.touch(addr)
+            # A resident block keeps its LRU position.
+            if not resident:
+                ways.insert(0, block)
+        del ways[assoc:]
+        assert cache.contains(addr)
+    assert calls == expected_calls
+    for block in range(universe):
+        assert cache.contains(block << block_shift) == (
+            block in model_set(block)
+        )

@@ -56,9 +56,6 @@ def continuous_window_64(
     window = WindowConfig(
         size=64,
         issue_width=4,
-        lsq_size=64,
-        lsq_input_ports=2,
-        lsq_output_ports=2,
         memory_ports=2,
         fu_copies=2,
         store_buffer_size=64,

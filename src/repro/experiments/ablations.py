@@ -224,9 +224,6 @@ def ablation_window(
         window = WindowConfig(
             size=size,
             issue_width=min(8, 2 * scale),
-            lsq_size=size,
-            lsq_input_ports=min(4, scale),
-            lsq_output_ports=min(4, scale),
             memory_ports=min(4, scale),
             fu_copies=min(8, 2 * scale),
             store_buffer_size=size,

@@ -83,7 +83,8 @@ def test_corpus_io_roundtrip(tmp_path):
     ]
     save_corpus(path, cells)
     assert load_corpus(path) == cells
-    doc = json.loads(open(path).read())
+    with open(path) as handle:
+        doc = json.load(handle)
     assert doc["version"] == CORPUS_VERSION
 
 

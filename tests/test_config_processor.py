@@ -8,6 +8,7 @@ from repro.config.processor import (
     ProcessorConfig,
     SchedulingModel,
     SpeculationPolicy,
+    WindowConfig,
 )
 
 
@@ -55,6 +56,13 @@ def test_memdep_config_validation():
         )
     with pytest.raises(ValueError):
         MemDepConfig(addr_scheduler_latency=-1)
+
+
+@pytest.mark.parametrize("field", ["issue_width", "memory_ports", "fu_copies"])
+def test_window_config_rejects_zero_issue_resources(field):
+    # With none of a resource, the core waits forever for it to issue.
+    with pytest.raises(ValueError, match=field):
+        WindowConfig(**{field: 0})
 
 
 def test_with_memdep_returns_modified_copy():

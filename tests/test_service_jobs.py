@@ -130,7 +130,8 @@ class TestPersistence:
     def test_persists_queued_and_unfinished_followers(self, tmp_path):
         path = str(tmp_path / "queue.json")
         assert self.make_registry().persist_queue(path) == 2
-        doc = json.load(open(path))
+        with open(path) as handle:
+            doc = json.load(handle)
         assert {e["id"] for e in doc["queued"]} == {"job-q", "job-f"}
 
     def test_load_queue_consumes_file(self, tmp_path):

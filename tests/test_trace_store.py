@@ -143,7 +143,8 @@ def test_truncated_file_is_dropped_and_regenerated(store):
 def test_bit_flip_is_dropped(store):
     _, compiled = _compiled()
     path = store.save(compiled, 0, GENERATOR_VERSION)
-    blob = bytearray(open(path, "rb").read())
+    with open(path, "rb") as handle:
+        blob = bytearray(handle.read())
     blob[len(blob) // 2] ^= 0x10
     with open(path, "wb") as handle:
         handle.write(bytes(blob))

@@ -106,10 +106,6 @@ def _dispatch(argv=None) -> int:
         return _observe_main(argv[1:])
     if argv and argv[0] == "check":
         return _check_main(argv[1:])
-    if argv and argv[0] in ("serve", "submit", "jobs"):
-        from repro.service.cli import service_main
-
-        return service_main(argv)
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description=(
@@ -737,6 +733,12 @@ def _cache_prune_main(argv) -> int:
     args = parser.parse_args(argv)
     if args.max_age is None and args.max_size is None:
         parser.error("nothing to do: pass --max-age and/or --max-size")
+    for flag, value in (("--max-age", args.max_age),
+                        ("--max-size", args.max_size)):
+        if value is not None and not 0 <= value < float("inf"):
+            parser.error(
+                f"{flag} must be a finite number >= 0 (got {value:g})"
+            )
     if args.results_only and args.traces_only:
         parser.error("--results-only and --traces-only are exclusive")
 

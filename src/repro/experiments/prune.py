@@ -1,17 +1,19 @@
 """Age/size-based eviction for the persistent stores.
 
-A long-running service node keeps its result and trace stores warm
-forever, so they grow without bound; ``repro cache prune`` applies
-two complementary policies to any store that can enumerate its entry
-paths (both :class:`~repro.experiments.store.ResultStore` and
+The stores keep every entry they write (only corrupt or stale ones
+are dropped), so a store shared across runs, seeds and run lengths
+only grows. ``repro cache prune`` applies two complementary policies
+to any store that can enumerate its entry paths (both
+:class:`~repro.experiments.store.ResultStore` and
 :class:`~repro.trace.tracestore.TraceStore` can):
 
 * **age**: entries whose mtime is older than ``max_age_seconds`` go
   (a cold cell will be re-simulated on next request — eviction can
   only ever cost time, never correctness, exactly like corruption);
 * **size**: if the survivors still exceed ``max_size_bytes``, the
-  oldest go first (LRU by mtime — both stores rewrite entries they
-  refresh) until the store fits.
+  oldest-written go first until the store fits. A store hit does not
+  touch its file, so an entry's mtime is when it was written, not when
+  it was last read: this is FIFO, not LRU.
 
 Dry-run by default: callers get the full eviction plan without any
 unlink happening, and pass ``apply=True`` to execute it.

@@ -73,20 +73,6 @@ def quick_settings() -> ExperimentSettings:
 
 _result_cache: Dict[Tuple, SimResult] = {}
 
-#: Who drove this process's simulations: "cli" by default, "service"
-#: once the experiment service boots (pool workers inherit it across
-#: fork). Stamped on fresh results only, mirroring ``extra["backend"]``
-#: — cache keys and store digests never include ``extra``, so the
-#: stamp cannot perturb content addressing.
-_served_by = "cli"
-
-
-def set_served_by(label: str) -> str:
-    """Set the ``extra["served_by"]`` stamp for fresh simulations."""
-    global _served_by
-    _served_by = str(label)
-    return _served_by
-
 
 @dataclass
 class CacheStats:
@@ -212,7 +198,6 @@ def run_benchmark(
         )
         result = Processor(config, trace, info).run(plan)
     result.extra["backend"] = backend_name
-    result.extra["served_by"] = _served_by
     _cache_stats.simulations += 1
     _result_cache[key] = result
     if store is not None:

@@ -9,12 +9,7 @@ line into a telemetry file. Each event carries at least:
     ``shard_retry``, ``shard_timeout``, ``shard_failed``,
     ``serial_fallback``, ``matrix_start``, ``matrix_finish``
     (``matrix_abort`` when a run is interrupted), ``artifact_start``,
-    ``artifact_finish``. The experiment service (:mod:`repro.service`)
-    adds ``service_start``, ``job_submitted`` / ``job_recovered`` /
-    ``job_coalesced`` / ``job_store_hit`` / ``job_rejected``,
-    ``job_admitted`` / ``job_finished`` / ``job_failed`` and
-    ``drain_start`` / ``drain_finish``; job events carry the
-    scheduler's ``queue_depth`` at emission time.
+    ``artifact_finish``.
 ``ts``
     Unix timestamp (``time.time()``) when the event was emitted.
 
@@ -166,23 +161,6 @@ def summarize_telemetry(events: Iterable[dict]) -> dict:
             for e in by_name.get("shard_finish", ())
         )
 
-    depths = [
-        int(e["queue_depth"]) for e in events if "queue_depth" in e
-    ]
-    service = {
-        "jobs_submitted": _count("job_submitted") + _count("job_recovered"),
-        "jobs_recovered": _count("job_recovered"),
-        "jobs_finished": _count("job_finished"),
-        "jobs_failed": _count("job_failed"),
-        "jobs_rejected": _count("job_rejected"),
-        "coalesce_hits": _count("job_coalesced"),
-        "store_instant_hits": _count("job_store_hit"),
-        "aborts": _count("matrix_abort"),
-        "drains": _count("drain_finish"),
-        "queue_depth_last": depths[-1] if depths else 0,
-        "queue_depth_max": max(depths) if depths else 0,
-    }
-
     cached = counters["memory_hits"] + counters["store_hits"]
     total = cached + counters["simulations"]
     summary = {
@@ -194,6 +172,7 @@ def summarize_telemetry(events: Iterable[dict]) -> dict:
         "shard_timeouts": _count("shard_timeout"),
         "shards_failed": _count("shard_failed"),
         "serial_fallbacks": _count("serial_fallback"),
+        "aborts": _count("matrix_abort"),
         "cache_hit_rate": (cached / total) if total else 0.0,
         "wall_total": sum(walls),
         "wall_p50": percentile(walls, 0.5) if walls else 0.0,
@@ -203,7 +182,6 @@ def summarize_telemetry(events: Iterable[dict]) -> dict:
         "trace_sources": trace_sources,
     }
     summary.update(counters)
-    summary.update(service)
     return summary
 
 
@@ -220,7 +198,8 @@ def render_summary(summary: dict) -> str:
             f"faults             {summary['shard_retries']} retries, "
             f"{summary['shard_timeouts']} timeouts, "
             f"{summary['shards_failed']} failed, "
-            f"{summary['serial_fallbacks']} serial fallbacks"
+            f"{summary['serial_fallbacks']} serial fallbacks, "
+            f"{summary['aborts']} aborts"
         ),
         (
             f"cache              {summary['memory_hits']} memory + "
@@ -244,32 +223,5 @@ def render_summary(summary: dict) -> str:
         lines.append(
             f"traces             {shards} "
             f"(acquisition {summary.get('trace_wall', 0.0):.2f}s)"
-        )
-    if any(
-        summary.get(key)
-        for key in (
-            "jobs_submitted", "jobs_finished", "jobs_failed",
-            "jobs_rejected", "coalesce_hits", "store_instant_hits",
-            "drains",
-        )
-    ):
-        lines.append(
-            f"service jobs       {summary.get('jobs_submitted', 0)} "
-            f"submitted ({summary.get('jobs_recovered', 0)} recovered), "
-            f"{summary.get('jobs_finished', 0)} finished, "
-            f"{summary.get('jobs_failed', 0)} failed, "
-            f"{summary.get('jobs_rejected', 0)} rejected"
-        )
-        lines.append(
-            f"service dedup      {summary.get('coalesce_hits', 0)} "
-            f"coalesce hits, {summary.get('store_instant_hits', 0)} "
-            f"instant store hits"
-        )
-        lines.append(
-            f"service queue      depth last "
-            f"{summary.get('queue_depth_last', 0)}, "
-            f"max {summary.get('queue_depth_max', 0)}, "
-            f"{summary.get('drains', 0)} drains, "
-            f"{summary.get('aborts', 0)} aborts"
         )
     return "\n".join(lines)

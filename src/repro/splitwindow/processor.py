@@ -119,6 +119,12 @@ class SplitWindowProcessor:
             raise ValueError(
                 "split-window model supports NAV and NO policies"
             )
+        if config.observe:
+            raise ValueError(
+                "config.observe is not supported on the split-window "
+                "machine: it emits no observer events yet (ROADMAP.md "
+                "item 4, 'One instrumentation path')"
+            )
         self.config = config
         self.trace = trace
         self.dep_info = (

@@ -23,6 +23,7 @@ from repro.experiments.runner import (
 from repro.experiments.store import set_store
 from repro.experiments.telemetry import (
     read_telemetry,
+    render_summary,
     summarize_telemetry,
 )
 
@@ -294,7 +295,10 @@ def test_interrupt_emits_matrix_abort_serial(tmp_path, monkeypatch):
     abort = events[-1]
     assert abort["reason"] == "KeyboardInterrupt"
     assert abort["shards_done"] == 0
-    assert summarize_telemetry(events)["aborts"] == 1
+    summary = summarize_telemetry(events)
+    assert summary["aborts"] == 1
+    # `repro status` must show the abort, not only the JSON summary.
+    assert "1 aborts" in render_summary(summary)
 
 
 def test_interrupt_mid_pool_reaps_workers(tmp_path, monkeypatch):

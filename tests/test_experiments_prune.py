@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import os
 
+import pytest
+
 from repro.experiments.prune import prune_paths
 
 
@@ -125,3 +127,47 @@ def test_cli_prune_dry_run_then_apply(tmp_path, capsys):
     assert rc == 0
     assert "pruned 1/1" in capsys.readouterr().out
     assert len(list(ResultStore(store_dir).entries())) == 0
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--max-size", "-1"], "--max-size must be a finite number >= 0"),
+        (["--max-age", "-0.5"], "--max-age must be a finite number >= 0"),
+        (["--max-size", "inf"], "--max-size must be a finite number >= 0"),
+        ([], "nothing to do"),
+        (
+            ["--max-age", "1", "--results-only", "--traces-only"],
+            "exclusive",
+        ),
+    ],
+    ids=[
+        "negative-size", "negative-age", "infinite-size", "no-limit",
+        "both-only",
+    ],
+)
+def test_cli_prune_rejects_bad_limits(tmp_path, capsys, flags, message):
+    """A bad limit is a usage error (exit 2), never a plan: at -1 MiB
+    or -0.5 days every entry would be selected, and an infinite size
+    cannot be converted to bytes."""
+    from repro.experiments.cli import main
+    from repro.experiments.store import ResultStore
+
+    store = ResultStore(tmp_path / "results")
+    entry = store._path_for("ab" * 32)
+    os.makedirs(os.path.dirname(entry))
+    with open(entry, "w") as handle:
+        handle.write("{}")
+    assert list(store.entries()) == [entry]
+
+    with pytest.raises(SystemExit) as excinfo:
+        main([
+            "cache", "prune", "--path", str(store.root),
+            "--trace-path", str(tmp_path / "traces"), "--apply",
+            *flags,
+        ])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "prune" not in captured.out
+    assert os.path.exists(entry)

@@ -7,7 +7,7 @@ latency, bounded bandwidth, banked memory), the fabric's delivery heap,
 routing of split configs, and the result-store key for fabric points.
 """
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -262,6 +262,10 @@ def test_run_benchmark_runs_split_configs_on_split_machine():
     result = run_benchmark("126.gcc", _split(link_latency=1), settings)
     assert result.extra["backend"] == "split"
     assert result.extra["fabric"]["fabric_posted"] > 0
+    # The split machine emits no observer events: asking for them is
+    # an error, not a result silently missing extra["observe"].
+    with pytest.raises(ValueError, match="observe"):
+        run_benchmark("126.gcc", replace(_split(), observe=True), settings)
 
 
 def test_eventsim_is_not_a_backend():

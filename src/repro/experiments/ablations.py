@@ -8,12 +8,15 @@ These go beyond the paper's figures:
   store-set predictor of its reference [4], plus MDPT capacity;
 * **window sweep** — extends Figure 1's 64/128 comparison to 32..256
   entries.
+
+Each ``<driver>_cells`` function declares the cells its driver requests
+(:class:`~repro.experiments.runner.Cells`).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict
+from typing import Dict, Sequence
 
 from repro.config.presets import continuous_window_128, split_window
 from repro.config.processor import (
@@ -24,16 +27,33 @@ from repro.config.processor import (
 from repro.experiments.report import ExperimentReport
 from repro.experiments.runner import (
     DEFAULT_SETTINGS,
+    Cells,
     ExperimentSettings,
     run_benchmark,
 )
 from repro.stats.summary import geometric_mean
+
 _NAS = SchedulingModel.NAS
+_NAV = SpeculationPolicy.NAIVE
+_ORACLE = SpeculationPolicy.ORACLE
 
 _ABLATION_BENCHES = (
     "126.gcc", "129.compress", "134.perl",
     "104.hydro2d", "103.su2cor", "102.swim",
 )
+_SPLIT_BENCHES = ("129.compress", "126.gcc", "104.hydro2d")
+
+
+def ablation_recovery_cells(
+    benchmarks: Sequence[str] = _ABLATION_BENCHES,
+) -> Cells:
+    return Cells({
+        "squash": continuous_window_128(_NAS, _NAV),
+        "selective": continuous_window_128(
+            _NAS, _NAV, recovery="selective"
+        ),
+        "oracle": continuous_window_128(_NAS, _ORACLE),
+    }, benchmarks)
 
 
 def ablation_recovery(
@@ -41,17 +61,15 @@ def ablation_recovery(
     benchmarks=_ABLATION_BENCHES,
 ) -> ExperimentReport:
     """Squash vs selective invalidation under naive speculation."""
-    squash_cfg = continuous_window_128(_NAS, SpeculationPolicy.NAIVE)
-    selective_cfg = continuous_window_128(
-        _NAS, SpeculationPolicy.NAIVE, recovery="selective"
-    )
-    oracle_cfg = continuous_window_128(_NAS, SpeculationPolicy.ORACLE)
+    cells = ablation_recovery_cells(benchmarks)
     rows = []
     data: Dict[str, Dict[str, float]] = {}
-    for name in benchmarks:
-        squash = run_benchmark(name, squash_cfg, settings)
-        selective = run_benchmark(name, selective_cfg, settings)
-        oracle = run_benchmark(name, oracle_cfg, settings)
+    for name in cells.benchmarks:
+        squash = run_benchmark(name, cells.configs["squash"], settings)
+        selective = run_benchmark(
+            name, cells.configs["selective"], settings
+        )
+        oracle = run_benchmark(name, cells.configs["oracle"], settings)
         rows.append((
             name,
             f"{squash.ipc:.2f}", f"{selective.ipc:.2f}",
@@ -80,12 +98,12 @@ def ablation_recovery(
     )
 
 
-def ablation_predictors(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    benchmarks=_ABLATION_BENCHES,
-) -> ExperimentReport:
-    """MDPT/synonyms vs store sets; MDPT capacity sensitivity."""
-    configs = {
+def ablation_predictors_cells(
+    benchmarks: Sequence[str] = _ABLATION_BENCHES,
+) -> Cells:
+    """The NAS/NAV base, then each predictor under test."""
+    return Cells({
+        "nav": continuous_window_128(_NAS, _NAV),
         "SYNC 4K": continuous_window_128(_NAS, SpeculationPolicy.SYNC),
         "SYNC 256": continuous_window_128(
             _NAS, SpeculationPolicy.SYNC, predictor_entries=256
@@ -93,20 +111,31 @@ def ablation_predictors(
         "SSET 4K": continuous_window_128(
             _NAS, SpeculationPolicy.STORE_SETS
         ),
+    }, benchmarks)
+
+
+def ablation_predictors(
+    settings: ExperimentSettings = DEFAULT_SETTINGS,
+    benchmarks=_ABLATION_BENCHES,
+) -> ExperimentReport:
+    """MDPT/synonyms vs store sets; MDPT capacity sensitivity."""
+    cells = ablation_predictors_cells(benchmarks)
+    predictors = {
+        label: config
+        for label, config in cells.configs.items() if label != "nav"
     }
-    nav_cfg = continuous_window_128(_NAS, SpeculationPolicy.NAIVE)
     rows = []
     data: Dict[str, Dict[str, float]] = {}
-    for name in benchmarks:
-        nav = run_benchmark(name, nav_cfg, settings)
-        cells = [name]
+    for name in cells.benchmarks:
+        nav = run_benchmark(name, cells.configs["nav"], settings)
+        row = [name]
         record: Dict[str, float] = {"nav": nav.ipc}
-        for label, config in configs.items():
+        for label, config in predictors.items():
             result = run_benchmark(name, config, settings)
             record[label] = result.ipc
             record[f"{label} miss"] = result.misspeculation_rate
-            cells.append(f"{(result.ipc / nav.ipc - 1) * 100:+.1f}%")
-        rows.append(tuple(cells))
+            row.append(f"{(result.ipc / nav.ipc - 1) * 100:+.1f}%")
+        rows.append(tuple(row))
         data[name] = record
     return ExperimentReport(
         experiment="Ablation A2",
@@ -123,6 +152,22 @@ def ablation_predictors(
     )
 
 
+def ablation_squash_penalty_cells(
+    benchmarks: Sequence[str] = _ABLATION_BENCHES,
+    penalties=(2, 4, 8, 16),
+) -> Cells:
+    """NAS/NAV keyed by squash refill penalty, plus NAS/ORACLE."""
+    return Cells({
+        **{
+            penalty: continuous_window_128(
+                _NAS, _NAV, squash_refill_penalty=penalty
+            )
+            for penalty in penalties
+        },
+        "oracle": continuous_window_128(_NAS, _ORACLE),
+    }, benchmarks)
+
+
 def ablation_squash_penalty(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
     benchmarks=_ABLATION_BENCHES,
@@ -135,16 +180,14 @@ def ablation_squash_penalty(
     refill component and shows NAV degrading while ORACLE (which never
     squashes) is untouched.
     """
+    cells = ablation_squash_penalty_cells(benchmarks, penalties)
+    oracle_cfg = cells.configs["oracle"]
     rows = []
     data: Dict[int, Dict[str, float]] = {}
-    oracle_cfg = continuous_window_128(_NAS, SpeculationPolicy.ORACLE)
     for penalty in penalties:
-        nav_cfg = continuous_window_128(
-            _NAS, SpeculationPolicy.NAIVE,
-            squash_refill_penalty=penalty,
-        )
+        nav_cfg = cells.configs[penalty]
         ratios = []
-        for name in benchmarks:
+        for name in cells.benchmarks:
             nav = run_benchmark(name, nav_cfg, settings)
             oracle = run_benchmark(name, oracle_cfg, settings)
             ratios.append(nav.ipc / oracle.ipc)
@@ -167,9 +210,23 @@ def ablation_squash_penalty(
     )
 
 
+def ablation_split_geometry_cells(
+    benchmarks: Sequence[str] = _SPLIT_BENCHES,
+    unit_counts=(2, 4, 8),
+) -> Cells:
+    """Split AS/NAV machines keyed by unit count; 128 entries in all."""
+    return Cells({
+        units: split_window(
+            SchedulingModel.AS, _NAV,
+            num_units=units, task_size=max(8, 128 // units),
+        )
+        for units in unit_counts
+    }, benchmarks)
+
+
 def ablation_split_geometry(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
-    benchmarks=("129.compress", "126.gcc", "104.hydro2d"),
+    benchmarks=_SPLIT_BENCHES,
     unit_counts=(2, 4, 8),
 ) -> ExperimentReport:
     """Section 3.7's effect vs the degree of window distribution.
@@ -178,16 +235,13 @@ def ablation_split_geometry(
     store addresses are invisible at load-issue time — the split-window
     miss-speculation rate should grow with the unit count.
     """
+    cells = ablation_split_geometry_cells(benchmarks, unit_counts)
     rows = []
     data: Dict[int, float] = {}
-    for units in unit_counts:
-        task_size = max(8, 128 // units)
-        config = split_window(
-            SchedulingModel.AS, SpeculationPolicy.NAIVE,
-            num_units=units, task_size=task_size,
-        )
+    for units, config in cells.configs.items():
+        task_size = config.split.task_size
         rates = []
-        for name in benchmarks:
+        for name in cells.benchmarks:
             result = run_benchmark(name, config, settings)
             rates.append(result.misspeculation_rate)
         mean_rate = sum(rates) / len(rates)
@@ -211,33 +265,46 @@ def ablation_split_geometry(
     )
 
 
+def _scaled_window(size: int) -> WindowConfig:
+    scale = max(1, size // 32)
+    return WindowConfig(
+        size=size,
+        issue_width=min(8, 2 * scale),
+        memory_ports=min(4, scale),
+        fu_copies=min(8, 2 * scale),
+        store_buffer_size=size,
+    )
+
+
+def ablation_window_cells(
+    benchmarks: Sequence[str] = _ABLATION_BENCHES,
+    sizes=(32, 64, 128, 256),
+) -> Cells:
+    """NAS/NO and NAS/ORACLE keyed by (window size, policy)."""
+    return Cells({
+        (size, policy): replace(
+            continuous_window_128(_NAS, policy),
+            window=_scaled_window(size),
+        )
+        for size in sizes
+        for policy in (SpeculationPolicy.NO, _ORACLE)
+    }, benchmarks)
+
+
 def ablation_window(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
     benchmarks=_ABLATION_BENCHES,
     sizes=(32, 64, 128, 256),
 ) -> ExperimentReport:
     """Oracle-over-NO speedup as a function of window size."""
+    cells = ablation_window_cells(benchmarks, sizes)
     rows = []
     data: Dict[int, float] = {}
     for size in sizes:
-        scale = max(1, size // 32)
-        window = WindowConfig(
-            size=size,
-            issue_width=min(8, 2 * scale),
-            memory_ports=min(4, scale),
-            fu_copies=min(8, 2 * scale),
-            store_buffer_size=size,
-        )
+        no_cfg = cells.configs[size, SpeculationPolicy.NO]
+        oracle_cfg = cells.configs[size, _ORACLE]
         ratios = []
-        for name in benchmarks:
-            no_cfg = replace(
-                continuous_window_128(_NAS, SpeculationPolicy.NO),
-                window=window,
-            )
-            oracle_cfg = replace(
-                continuous_window_128(_NAS, SpeculationPolicy.ORACLE),
-                window=window,
-            )
+        for name in cells.benchmarks:
             no = run_benchmark(name, no_cfg, settings)
             oracle = run_benchmark(name, oracle_cfg, settings)
             ratios.append(oracle.ipc / no.ipc)

@@ -19,6 +19,7 @@ import sys
 import time
 from typing import Callable, Dict
 
+from repro.experiments import ablations, figures, tables
 from repro.experiments.ablations import (
     ablation_predictors,
     ablation_recovery,
@@ -30,7 +31,7 @@ from repro.experiments.figures import (
     figure1, figure2, figure3, figure4, figure5, figure6, figure7,
     figure7_sweep, summary_findings,
 )
-from repro.experiments.runner import ExperimentSettings
+from repro.experiments.runner import Cells, ExperimentSettings
 from repro.experiments.tables import table1, table3, table4, table_stalls
 
 ARTIFACTS: Dict[str, Callable] = {
@@ -53,6 +54,31 @@ ARTIFACTS: Dict[str, Callable] = {
     "ablation-squash": ablation_squash_penalty,
     "ablation-split": ablation_split_geometry,
 }
+
+#: The cells each simulating artifact requests, declared next to its
+#: renderer. A run is planned from them before its first artifact;
+#: artifacts still request cells through ``run_benchmark``, so a
+#: missing declaration costs a simulation, never a wrong number.
+CELLS: Dict[str, Callable[[], Cells]] = {
+    "table3": tables.table3_cells,
+    "table4": tables.table4_cells,
+    "stalls": tables.table_stalls_cells,
+    "figure1": figures.figure1_cells,
+    "figure2": figures.figure2_cells,
+    "figure3": figures.figure3_cells,
+    "figure4": figures.figure4_cells,
+    "figure5": figures.figure5_cells,
+    "figure6": figures.figure6_cells,
+    "figure7": figures.figure7_cells,
+    "figure7-sweep": figures.figure7_sweep_cells,
+    "summary": figures.summary_findings_cells,
+    "ablation-recovery": ablations.ablation_recovery_cells,
+    "ablation-predictors": ablations.ablation_predictors_cells,
+    "ablation-window": ablations.ablation_window_cells,
+    "ablation-squash": ablations.ablation_squash_penalty_cells,
+    "ablation-split": ablations.ablation_split_geometry_cells,
+}
+
 
 def _backend_choices():
     from repro.core.backend import available_backends
@@ -145,8 +171,8 @@ def _dispatch(argv=None) -> int:
     )
     parser.add_argument(
         "--parallel", type=int, metavar="N", default=0,
-        help="pre-simulate the core configuration matrix with N worker "
-             "processes before rendering artifacts",
+        help="simulate the cells of the requested artifacts with N "
+             "worker processes before rendering them",
     )
     parser.add_argument(
         "--store", metavar="DIR",
@@ -180,6 +206,11 @@ def _dispatch(argv=None) -> int:
              "control",
     )
     args = parser.parse_args(argv)
+    for flag, value, least in (("--timing", args.timing, 1),
+                               ("--warmup", args.warmup, 0),
+                               ("--parallel", args.parallel, 0)):
+        if value < least:
+            parser.error(f"{flag} must be >= {least} (got {value})")
 
     if args.quick:
         settings = ExperimentSettings(6_000, 4_000, args.seed)
@@ -200,12 +231,20 @@ def _dispatch(argv=None) -> int:
 
         set_trace_store(args.trace_store)
 
-    from repro.experiments.runner import cache_stats
+    from repro.experiments.runner import (
+        cache_stats, observe_planned, plan_cells,
+    )
     from repro.experiments.telemetry import TelemetryWriter
 
-    with TelemetryWriter(args.telemetry) as writer:
+    # A serial run stays lazy: planning simulates nothing. It marks the
+    # cells some artifact observes, so each is simulated once, observed,
+    # at its first request. --parallel simulates the whole plan first.
+    cells = plan_cells(
+        (CELLS[name]() for name in names if name in CELLS), settings
+    )
+    with TelemetryWriter(args.telemetry) as writer, observe_planned(cells):
         if args.parallel:
-            _prewarm(settings, args.parallel, writer)
+            _simulate(cells, settings, args.parallel, writer)
 
         for name in names:
             started = time.time()
@@ -667,6 +706,7 @@ def _cache_main(argv) -> int:
     print(f"store path      {stats['path']}")
     print(f"schema version  {stats['schema']}")
     print(f"entries         {stats['entries']}")
+    print(f"older schemas   {stats['stale_entries']} (never served)")
     print(f"size            {stats['size_bytes'] / 1024:.1f} KiB")
     if not os.path.isdir(store.root):
         print("(store directory does not exist yet — it is created "
@@ -675,6 +715,7 @@ def _cache_main(argv) -> int:
     print(f"trace store     {tstats['path']}")
     print(f"trace format    {tstats['format']}")
     print(f"trace entries   {tstats['entries']}")
+    print(f"older formats   {tstats['stale_entries']} (never served)")
     print(f"trace size      {tstats['size_bytes'] / 1024:.1f} KiB")
     if not os.path.isdir(traces.root):
         print("(trace-store directory does not exist yet — it is "
@@ -749,13 +790,19 @@ def _cache_prune_main(argv) -> int:
         int(args.max_size * 1024 * 1024)
         if args.max_size is not None else None
     )
+    # Entries of another schema or format version can never be served,
+    # so the plan covers them too.
     targets = []
     if not args.traces_only:
         store = ResultStore(args.path or default_store_path())
-        targets.append(("results", store.root, store.entries()))
+        targets.append(
+            ("results", store.root, [*store.entries(), *store.stale_entries()])
+        )
     if not args.results_only:
         traces = TraceStore(args.trace_path or default_trace_store_path())
-        targets.append(("traces", traces.root, traces.entries()))
+        targets.append(
+            ("traces", traces.root, [*traces.entries(), *traces.stale_entries()])
+        )
 
     for label, root, paths in targets:
         report = prune_paths(
@@ -809,45 +856,30 @@ def _status_main(argv) -> int:
     return 0
 
 
-def _prewarm(
-    settings: ExperimentSettings, workers: int, telemetry=None
+def _simulate(
+    cells: dict,
+    settings: ExperimentSettings,
+    workers: int,
+    telemetry=None,
 ) -> None:
-    """Simulate the configuration matrix shared by the figures, in
-    parallel, so artifact rendering afterwards is mostly cache hits."""
-    from repro.config import (
-        continuous_window_128, continuous_window_64,
-        SchedulingModel, SpeculationPolicy,
-    )
-    from repro.experiments.parallel import run_matrix_parallel
-    from repro.workloads.spec95 import ALL_BENCHMARKS
+    """Simulate the planned *cells* (from
+    :func:`~repro.experiments.runner.plan_cells`) over *workers*
+    processes, so rendering the artifacts afterwards simulates
+    nothing."""
+    from repro.config.presets import config_name
+    from repro.experiments.parallel import run_cells_parallel
 
-    nas = SchedulingModel.NAS
-    as_ = SchedulingModel.AS
-    configs = {}
-    for policy in (
-        SpeculationPolicy.NO, SpeculationPolicy.NAIVE,
-        SpeculationPolicy.SELECTIVE, SpeculationPolicy.STORE_BARRIER,
-        SpeculationPolicy.SYNC, SpeculationPolicy.ORACLE,
-    ):
-        configs[f"w128 NAS/{policy.value}"] = continuous_window_128(
-            nas, policy
+    labels: Dict[tuple, str] = {}
+    shards: Dict[str, list] = {}
+    for (name, _, config_key), config in cells.items():
+        label = labels.setdefault(
+            config_key, f"{config_name(config)} #{len(labels)}"
         )
-    for policy in (SpeculationPolicy.NO, SpeculationPolicy.ORACLE):
-        configs[f"w64 NAS/{policy.value}"] = continuous_window_64(
-            nas, policy
-        )
-    for latency in (0, 1, 2):
-        for policy in (SpeculationPolicy.NO, SpeculationPolicy.NAIVE):
-            configs[f"AS/{policy.value}+{latency}"] = (
-                continuous_window_128(as_, policy, latency)
-            )
+        shards.setdefault(name, []).append((label, config))
     started = time.time()
-    run_matrix_parallel(
-        ALL_BENCHMARKS, configs, settings, workers=workers,
-        telemetry=telemetry,
-    )
+    run_cells_parallel(shards, settings, workers=workers, telemetry=telemetry)
     print(
-        f"  [prewarmed {len(configs)}x{len(ALL_BENCHMARKS)} points "
+        f"  [simulated {len(cells)} cells of the requested artifacts "
         f"with {workers} workers in {time.time() - started:.1f}s]\n"
     )
 

@@ -2,12 +2,14 @@
 
 Each driver simulates the configurations the figure compares and prints
 the same per-benchmark series the paper plots, plus the suite geometric
-means quoted in the text.
+means quoted in the text. Each ``<driver>_cells`` function declares the
+cells its driver requests (:class:`~repro.experiments.runner.Cells`),
+and the driver iterates that declaration.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 from repro.config.presets import (
     continuous_window_128,
@@ -19,6 +21,7 @@ from repro.experiments.paper_data import PAPER_SUMMARY
 from repro.experiments.report import ExperimentReport
 from repro.experiments.runner import (
     DEFAULT_SETTINGS,
+    Cells,
     ExperimentSettings,
     run_benchmark,
 )
@@ -38,6 +41,11 @@ _STORE = SpeculationPolicy.STORE_BARRIER
 _SYNC = SpeculationPolicy.SYNC
 _ORACLE = SpeculationPolicy.ORACLE
 
+#: Address-scheduler latencies of Figures 3 and 4.
+_LATENCIES = (0, 1, 2)
+#: The programs of Figure 7 and its sweep.
+_FIGURE7_BENCHES = ("129.compress", "126.gcc", "104.hydro2d", "102.swim")
+
 
 def _suite_means(values: Dict[str, float], benchmarks) -> Dict[str, float]:
     ints = [values[b] for b in benchmarks if b in INT_BENCHMARKS]
@@ -50,6 +58,15 @@ def _suite_means(values: Dict[str, float], benchmarks) -> Dict[str, float]:
     return means
 
 
+def figure1_cells(benchmarks: Sequence[str] = ALL_BENCHMARKS) -> Cells:
+    return Cells({
+        "w64 NO": continuous_window_64(_NAS, _NO),
+        "w64 ORACLE": continuous_window_64(_NAS, _ORACLE),
+        "w128 NO": continuous_window_128(_NAS, _NO),
+        "w128 ORACLE": continuous_window_128(_NAS, _ORACLE),
+    }, benchmarks)
+
+
 def figure1(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
     benchmarks=ALL_BENCHMARKS,
@@ -60,20 +77,15 @@ def figure1(
     speedup per benchmark — the paper's headline result that the payoff
     of exploiting load/store parallelism grows with window size.
     """
-    cfg = {
-        "w64 NO": continuous_window_64(_NAS, _NO),
-        "w64 ORACLE": continuous_window_64(_NAS, _ORACLE),
-        "w128 NO": continuous_window_128(_NAS, _NO),
-        "w128 ORACLE": continuous_window_128(_NAS, _ORACLE),
-    }
+    cells = figure1_cells(benchmarks)
     rows = []
     data: Dict[str, Dict[str, float]] = {}
     speedups64: Dict[str, float] = {}
     speedups128: Dict[str, float] = {}
-    for name in benchmarks:
+    for name in cells.benchmarks:
         ipc = {
             label: run_benchmark(name, config, settings).ipc
-            for label, config in cfg.items()
+            for label, config in cells.configs.items()
         }
         speedups64[name] = ipc["w64 ORACLE"] / ipc["w64 NO"]
         speedups128[name] = ipc["w128 ORACLE"] / ipc["w128 NO"]
@@ -111,24 +123,28 @@ def figure1(
     )
 
 
+def figure2_cells(benchmarks: Sequence[str] = ALL_BENCHMARKS) -> Cells:
+    return Cells({
+        "NO": continuous_window_128(_NAS, _NO),
+        "ORACLE": continuous_window_128(_NAS, _ORACLE),
+        "NAV": continuous_window_128(_NAS, _NAV),
+    }, benchmarks)
+
+
 def figure2(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
     benchmarks=ALL_BENCHMARKS,
 ) -> ExperimentReport:
     """Figure 2: naive memory dependence speculation without an
     address-based scheduler (NAS/NO vs NAS/ORACLE vs NAS/NAV)."""
-    cfg = {
-        "NO": continuous_window_128(_NAS, _NO),
-        "ORACLE": continuous_window_128(_NAS, _ORACLE),
-        "NAV": continuous_window_128(_NAS, _NAV),
-    }
+    cells = figure2_cells(benchmarks)
     rows = []
     data: Dict[str, Dict[str, float]] = {}
     nav_speedup: Dict[str, float] = {}
-    for name in benchmarks:
+    for name in cells.benchmarks:
         ipc = {
             label: run_benchmark(name, config, settings).ipc
-            for label, config in cfg.items()
+            for label, config in cells.configs.items()
         }
         nav_speedup[name] = ipc["NAV"] / ipc["NO"]
         rows.append((
@@ -156,31 +172,34 @@ def figure2(
     )
 
 
+def figure3_cells(benchmarks: Sequence[str] = ALL_BENCHMARKS) -> Cells:
+    return Cells({
+        (policy, lat): continuous_window_128(_AS, policy, lat)
+        for lat in _LATENCIES for policy in (_NO, _NAV)
+    }, benchmarks)
+
+
 def figure3(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
     benchmarks=ALL_BENCHMARKS,
 ) -> ExperimentReport:
     """Figure 3: AS/NAV relative to AS/NO at 0/1/2-cycle scheduler
     latency (part a), plus AS/NO base IPC (part b)."""
-    latencies = (0, 1, 2)
+    cells = figure3_cells(benchmarks)
     rows = []
-    rel: Dict[int, Dict[str, float]] = {lat: {} for lat in latencies}
+    rel: Dict[int, Dict[str, float]] = {lat: {} for lat in _LATENCIES}
     base_ipc: Dict[str, float] = {}
-    for name in benchmarks:
-        cells: List[object] = [name]
-        for lat in latencies:
-            r_no = run_benchmark(
-                name, continuous_window_128(_AS, _NO, lat), settings
-            )
-            r_nav = run_benchmark(
-                name, continuous_window_128(_AS, _NAV, lat), settings
-            )
+    for name in cells.benchmarks:
+        row: List[object] = [name]
+        for lat in _LATENCIES:
+            r_no = run_benchmark(name, cells.configs[_NO, lat], settings)
+            r_nav = run_benchmark(name, cells.configs[_NAV, lat], settings)
             rel[lat][name] = r_nav.ipc / r_no.ipc
-            cells.append(f"{(rel[lat][name] - 1) * 100:+.1f}%")
+            row.append(f"{(rel[lat][name] - 1) * 100:+.1f}%")
             if lat == 0:
                 base_ipc[name] = r_no.ipc
-        cells.append(f"{base_ipc[name]:.2f}")
-        rows.append(tuple(cells))
+        row.append(f"{base_ipc[name]:.2f}")
+        rows.append(tuple(row))
     means0 = _suite_means(rel[0], benchmarks)
     notes = [
         "0-cycle AS/NAV-over-AS/NO (geo-mean): "
@@ -203,6 +222,18 @@ def figure3(
     )
 
 
+def figure4_cells(benchmarks: Sequence[str] = ALL_BENCHMARKS) -> Cells:
+    """The base (AS/NO, 0-cycle scheduler) and every bar's config."""
+    return Cells({
+        "base": continuous_window_128(_AS, _NO, 0),
+        "NAS/ORACLE": continuous_window_128(_NAS, _ORACLE),
+        **{
+            f"AS/NAV {lat}cy": continuous_window_128(_AS, _NAV, lat)
+            for lat in _LATENCIES
+        },
+    }, benchmarks)
+
+
 def figure4(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
     benchmarks=ALL_BENCHMARKS,
@@ -210,22 +241,18 @@ def figure4(
     """Figure 4: oracle disambiguation vs address-based scheduling.
 
     All bars are relative to AS/NO with a 0-cycle scheduler."""
-    base_cfg = continuous_window_128(_AS, _NO, 0)
-    oracle_cfg = continuous_window_128(_NAS, _ORACLE)
-    rows = []
-    rel: Dict[str, Dict[str, float]] = {
-        "NAS/ORACLE": {}, "AS/NAV 0cy": {}, "AS/NAV 1cy": {},
-        "AS/NAV 2cy": {},
+    cells = figure4_cells(benchmarks)
+    bars = {
+        label: config
+        for label, config in cells.configs.items() if label != "base"
     }
-    for name in benchmarks:
-        base = run_benchmark(name, base_cfg, settings).ipc
-        rel["NAS/ORACLE"][name] = (
-            run_benchmark(name, oracle_cfg, settings).ipc / base
-        )
-        for lat in (0, 1, 2):
-            cfg = continuous_window_128(_AS, _NAV, lat)
-            rel[f"AS/NAV {lat}cy"][name] = (
-                run_benchmark(name, cfg, settings).ipc / base
+    rows = []
+    rel: Dict[str, Dict[str, float]] = {label: {} for label in bars}
+    for name in cells.benchmarks:
+        base = run_benchmark(name, cells.configs["base"], settings).ipc
+        for label, config in bars.items():
+            rel[label][name] = (
+                run_benchmark(name, config, settings).ipc / base
             )
         rows.append((
             name,
@@ -248,26 +275,37 @@ def figure4(
     )
 
 
+def _policy_vs_nav_cells(policies, benchmarks: Sequence[str]) -> Cells:
+    """NAS/NAV, each of *policies* and NAS/ORACLE, by policy name."""
+    return Cells({
+        policy.value: continuous_window_128(_NAS, policy)
+        for policy in (_NAV, *policies, _ORACLE)
+    }, benchmarks)
+
+
 def _policy_vs_nav(
     policy: SpeculationPolicy,
     settings: ExperimentSettings,
-    benchmarks,
+    cells: Cells,
 ) -> Dict[str, Dict[str, float]]:
-    nav_cfg = continuous_window_128(_NAS, _NAV)
-    pol_cfg = continuous_window_128(_NAS, policy)
-    oracle_cfg = continuous_window_128(_NAS, _ORACLE)
+    configs = cells.configs
     rel: Dict[str, float] = {}
     oracle_rel: Dict[str, float] = {}
     miss: Dict[str, float] = {}
-    for name in benchmarks:
-        nav_ipc = run_benchmark(name, nav_cfg, settings).ipc
-        result = run_benchmark(name, pol_cfg, settings)
+    for name in cells.benchmarks:
+        nav_ipc = run_benchmark(name, configs[_NAV.value], settings).ipc
+        result = run_benchmark(name, configs[policy.value], settings)
         rel[name] = result.ipc / nav_ipc
         miss[name] = result.misspeculation_rate * 100
         oracle_rel[name] = (
-            run_benchmark(name, oracle_cfg, settings).ipc / nav_ipc
+            run_benchmark(name, configs[_ORACLE.value], settings).ipc
+            / nav_ipc
         )
     return {"relative": rel, "oracle": oracle_rel, "miss": miss}
+
+
+def figure5_cells(benchmarks: Sequence[str] = ALL_BENCHMARKS) -> Cells:
+    return _policy_vs_nav_cells((_SEL, _STORE), benchmarks)
 
 
 def figure5(
@@ -275,8 +313,9 @@ def figure5(
     benchmarks=ALL_BENCHMARKS,
 ) -> ExperimentReport:
     """Figure 5: selective and store-barrier speculation vs NAS/NAV."""
-    sel = _policy_vs_nav(_SEL, settings, benchmarks)
-    store = _policy_vs_nav(_STORE, settings, benchmarks)
+    cells = figure5_cells(benchmarks)
+    sel = _policy_vs_nav(_SEL, settings, cells)
+    store = _policy_vs_nav(_STORE, settings, cells)
     rows = []
     for name in benchmarks:
         rows.append((
@@ -309,12 +348,16 @@ def figure5(
     )
 
 
+def figure6_cells(benchmarks: Sequence[str] = ALL_BENCHMARKS) -> Cells:
+    return _policy_vs_nav_cells((_SYNC,), benchmarks)
+
+
 def figure6(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
     benchmarks=ALL_BENCHMARKS,
 ) -> ExperimentReport:
     """Figure 6: speculation/synchronization (NAS/SYNC) vs NAS/NAV."""
-    sync = _policy_vs_nav(_SYNC, settings, benchmarks)
+    sync = _policy_vs_nav(_SYNC, settings, figure6_cells(benchmarks))
     rows = []
     for name in benchmarks:
         rows.append((
@@ -349,9 +392,16 @@ def figure6(
     )
 
 
+def figure7_cells(benchmarks: Sequence[str] = _FIGURE7_BENCHES) -> Cells:
+    return Cells({
+        "cont": continuous_window_128(_AS, _NAV, 0),
+        "split": split_window(_AS, _NAV, 0),
+    }, benchmarks)
+
+
 def figure7(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
-    benchmarks=("129.compress", "126.gcc", "104.hydro2d", "102.swim"),
+    benchmarks=_FIGURE7_BENCHES,
 ) -> ExperimentReport:
     """Figure 7 / Section 3.7: split vs continuous window.
 
@@ -360,13 +410,12 @@ def figure7(
     window, where loads can compute addresses before older (cross-unit)
     stores have fetched.
     """
-    cont_cfg = continuous_window_128(_AS, _NAV, 0)
-    split_cfg = split_window(_AS, _NAV, 0)
+    cells = figure7_cells(benchmarks)
     rows = []
     data: Dict[str, Dict[str, float]] = {}
-    for name in benchmarks:
-        cont = run_benchmark(name, cont_cfg, settings)
-        spl = run_benchmark(name, split_cfg, settings)
+    for name in cells.benchmarks:
+        cont = run_benchmark(name, cells.configs["cont"], settings)
+        spl = run_benchmark(name, cells.configs["split"], settings)
         rows.append((
             name,
             f"{cont.misspeculation_rate * 100:.2f}%",
@@ -396,10 +445,24 @@ def figure7(
     )
 
 
+def figure7_sweep_cells(
+    benchmarks: Sequence[str] = _FIGURE7_BENCHES,
+    latencies=_LATENCIES,
+    bandwidths=(0, 4, 2, 1),
+) -> Cells:
+    """Split AS/NAV machines keyed by (fabric bandwidth, latency)."""
+    return Cells({
+        (bandwidth, latency): split_window(
+            _AS, _NAV, latency, sync_bandwidth=bandwidth
+        )
+        for bandwidth in bandwidths for latency in latencies
+    }, benchmarks)
+
+
 def figure7_sweep(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
-    benchmarks=("129.compress", "126.gcc", "104.hydro2d", "102.swim"),
-    latencies=(0, 1, 2),
+    benchmarks=_FIGURE7_BENCHES,
+    latencies=_LATENCIES,
     bandwidths=(0, 4, 2, 1),
 ) -> ExperimentReport:
     """Figure 7 extended: scheduler latency x sync-fabric bandwidth.
@@ -421,41 +484,38 @@ def figure7_sweep(
     """
     from repro.check.fuzz import SPLIT_MONO_TOLERANCE
 
+    swept = figure7_sweep_cells(benchmarks, latencies, bandwidths)
     rows = []
     cells: Dict[str, Dict] = {}
     missp_by_bw: Dict[int, List[int]] = {bw: [] for bw in bandwidths}
-    for bandwidth in bandwidths:
-        for latency in latencies:
-            config = split_window(
-                _AS, _NAV, latency, sync_bandwidth=bandwidth
-            )
-            ipcs: Dict[str, float] = {}
-            rates: Dict[str, float] = {}
-            missp = loads = cycles = 0
-            for name in benchmarks:
-                r = run_benchmark(name, config, settings)
-                ipcs[name] = r.ipc
-                rates[name] = r.misspeculation_rate
-                missp += r.misspeculations
-                loads += r.committed_loads
-                cycles += r.cycles
-            missp_by_bw[bandwidth].append(missp)
-            rate = missp / loads if loads else 0.0
-            bw_label = "inf" if bandwidth == 0 else str(bandwidth)
-            rows.append((
-                f"{latency}cy", bw_label,
-                f"{rate * 100:.2f}%",
-                f"{geometric_mean(list(ipcs.values())):.2f}",
-                missp, cycles,
-            ))
-            cells[f"lat{latency}_bw{bw_label}"] = {
-                "latency": latency,
-                "bandwidth": bandwidth,
-                "misspeculations": missp,
-                "rate": rate,
-                "ipc": ipcs,
-                "rates": rates,
-            }
+    for (bandwidth, latency), config in swept.configs.items():
+        ipcs: Dict[str, float] = {}
+        rates: Dict[str, float] = {}
+        missp = loads = cycles = 0
+        for name in swept.benchmarks:
+            r = run_benchmark(name, config, settings)
+            ipcs[name] = r.ipc
+            rates[name] = r.misspeculation_rate
+            missp += r.misspeculations
+            loads += r.committed_loads
+            cycles += r.cycles
+        missp_by_bw[bandwidth].append(missp)
+        rate = missp / loads if loads else 0.0
+        bw_label = "inf" if bandwidth == 0 else str(bandwidth)
+        rows.append((
+            f"{latency}cy", bw_label,
+            f"{rate * 100:.2f}%",
+            f"{geometric_mean(list(ipcs.values())):.2f}",
+            missp, cycles,
+        ))
+        cells[f"lat{latency}_bw{bw_label}"] = {
+            "latency": latency,
+            "bandwidth": bandwidth,
+            "misspeculations": missp,
+            "rate": rate,
+            "ipc": ipcs,
+            "rates": rates,
+        }
     floor = 1.0 - SPLIT_MONO_TOLERANCE
     monotonic = {
         ("inf" if bw == 0 else str(bw)): all(
@@ -490,25 +550,31 @@ def figure7_sweep(
     )
 
 
-def summary_findings(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    benchmarks=ALL_BENCHMARKS,
-) -> ExperimentReport:
-    """Section 4's quantitative findings, measured vs paper."""
-    cfgs = {
+def summary_findings_cells(
+    benchmarks: Sequence[str] = ALL_BENCHMARKS,
+) -> Cells:
+    return Cells({
         "NAS/NO": continuous_window_128(_NAS, _NO),
         "NAS/NAV": continuous_window_128(_NAS, _NAV),
         "NAS/SYNC": continuous_window_128(_NAS, _SYNC),
         "NAS/ORACLE": continuous_window_128(_NAS, _ORACLE),
         "AS/NO": continuous_window_128(_AS, _NO, 0),
         "AS/NAV": continuous_window_128(_AS, _NAV, 0),
-    }
+    }, benchmarks)
+
+
+def summary_findings(
+    settings: ExperimentSettings = DEFAULT_SETTINGS,
+    benchmarks=ALL_BENCHMARKS,
+) -> ExperimentReport:
+    """Section 4's quantitative findings, measured vs paper."""
+    cells = summary_findings_cells(benchmarks)
     ipc = {
         label: {
             name: run_benchmark(name, config, settings).ipc
-            for name in benchmarks
+            for name in cells.benchmarks
         }
-        for label, config in cfgs.items()
+        for label, config in cells.configs.items()
     }
 
     def mean_speedup(num: str, den: str, suite_list) -> float:

@@ -103,8 +103,7 @@ class _MatrixRun:
 
     def __init__(
         self,
-        benchmarks: List[str],
-        labelled: List[Tuple[str, ProcessorConfig]],
+        shards: Dict[str, List[Tuple[str, ProcessorConfig]]],
         settings: ExperimentSettings,
         writer,
         shard_timeout: Optional[float],
@@ -112,24 +111,19 @@ class _MatrixRun:
         retry_backoff: float,
         backend: Optional[str] = None,
     ) -> None:
-        self.benchmarks = benchmarks
-        self.labelled = labelled
+        #: benchmark -> the (label, config) cells its shard runs.
+        self.shards = shards
+        self.benchmarks = list(shards)
         self.backend = backend
-        self.configs_by_label = dict(labelled)
-        #: Every telemetry record carries the shard's full cell key
-        #: (benchmark + the config labels it covers) so JSONL traces
-        #: can be joined with result-store entries even on the
-        #: retry/timeout/error paths.
-        self.config_labels = [label for label, _ in labelled]
         self.settings = settings
         self.writer = writer
         self.shard_timeout = shard_timeout
         self.retries = retries
         self.retry_backoff = retry_backoff
         self.out: Dict[str, Dict[str, SimResult]] = {
-            label: {} for label, _ in labelled
+            label: {} for cells in shards.values() for label, _ in cells
         }
-        self.attempts: Dict[str, int] = {name: 0 for name in benchmarks}
+        self.attempts: Dict[str, int] = {name: 0 for name in shards}
         self.failed: List[str] = []
         #: Cache counters summed over every finished shard. Pooled
         #: shards simulate in child processes, so the parent's own
@@ -138,6 +132,16 @@ class _MatrixRun:
             "memory_hits": 0, "store_hits": 0, "simulations": 0,
             "trace_wall": 0.0,
         }
+
+    def _labels(self, name: str) -> List[str]:
+        """The config labels of *name*'s shard. Every telemetry record
+        carries them with the benchmark (the shard's full cell key), so
+        JSONL traces can be joined with result-store entries even on
+        the retry/timeout/error paths."""
+        return [label for label, _ in self.shards[name]]
+
+    def _args(self, name: str) -> tuple:
+        return (name, self.shards[name], self.settings, self.backend)
 
     # -- result folding ------------------------------------------------------
 
@@ -148,12 +152,12 @@ class _MatrixRun:
         stats: dict,
         mode: str,
     ) -> None:
+        configs = dict(self.shards[name])
         for label, result in shard:
             self.out[label][name] = result
             # Seed the serial cache so later drivers reuse this.
-            config = self.configs_by_label[label]
-            key = (name, self.settings, _runner._config_key(config))
-            _runner._result_cache[key] = result
+            key = (name, self.settings, _runner._config_key(configs[label]))
+            _runner._remember(key, result)
         for key in self.totals:
             value = stats.get(key, 0) or 0
             self.totals[key] += (
@@ -162,7 +166,7 @@ class _MatrixRun:
         self.writer.emit(
             "shard_finish",
             benchmark=name,
-            configs=self.config_labels,
+            configs=self._labels(name),
             attempt=self.attempts[name],
             mode=mode,
             points=len(shard),
@@ -175,20 +179,18 @@ class _MatrixRun:
         self.writer.emit(
             "shard_start",
             benchmark=name,
-            configs=self.config_labels,
+            configs=self._labels(name),
             attempt=self.attempts[name],
             mode="serial",
         )
         try:
-            _, shard, stats = _run_benchmark_shard(
-                (name, self.labelled, self.settings, self.backend)
-            )
+            _, shard, stats = _run_benchmark_shard(self._args(name))
         except Exception as exc:
             self.failed.append(name)
             self.writer.emit(
                 "shard_failed",
                 benchmark=name,
-                configs=self.config_labels,
+                configs=self._labels(name),
                 attempt=self.attempts[name],
                 mode="serial",
                 error=repr(exc),
@@ -248,15 +250,13 @@ class _MatrixRun:
             self.writer.emit(
                 "shard_start",
                 benchmark=name,
-                configs=self.config_labels,
+                configs=self._labels(name),
                 attempt=self.attempts[name],
                 mode="pool",
             )
             try:
                 handle = pool.apply_async(
-                    _run_benchmark_shard,
-                    ((name, self.labelled, self.settings,
-                      self.backend),),
+                    _run_benchmark_shard, (self._args(name),)
                 )
             except Exception:
                 return [name] + pending
@@ -296,7 +296,7 @@ class _MatrixRun:
                     self.writer.emit(
                         "shard_error",
                         benchmark=name,
-                        configs=self.config_labels,
+                        configs=self._labels(name),
                         attempt=self.attempts[name],
                         mode="pool",
                         error=repr(exc),
@@ -311,7 +311,7 @@ class _MatrixRun:
                 self.writer.emit(
                     "shard_timeout",
                     benchmark=name,
-                    configs=self.config_labels,
+                    configs=self._labels(name),
                     attempt=self.attempts[name],
                     mode="pool",
                     timeout=self.shard_timeout,
@@ -326,7 +326,7 @@ class _MatrixRun:
             self.writer.emit(
                 "shard_retry",
                 benchmark=name,
-                configs=self.config_labels,
+                configs=self._labels(name),
                 attempt=self.attempts[name] + 1,
                 mode="pool",
                 delay=delay,
@@ -339,7 +339,7 @@ class _MatrixRun:
             self.writer.emit(
                 "shard_failed",
                 benchmark=name,
-                configs=self.config_labels,
+                configs=self._labels(name),
                 attempt=self.attempts[name],
                 mode="pool",
                 error="retries exhausted",
@@ -351,6 +351,27 @@ def run_matrix_parallel(
     configs: Mapping[str, ProcessorConfig],
     settings: ExperimentSettings = DEFAULT_SETTINGS,
     workers: Optional[int] = None,
+    **options,
+) -> Dict[str, Dict[str, SimResult]]:
+    """Parallel :func:`repro.experiments.runner.run_matrix`: every
+    config crossed with every benchmark, through
+    :func:`run_cells_parallel` (which takes the same *options*).
+
+    Returns ``{config_label: {benchmark: SimResult}}``. With
+    ``workers=1`` (or a single benchmark) this degrades to the serial
+    path without spawning processes.
+    """
+    labelled = list(configs.items())
+    return run_cells_parallel(
+        {name: labelled for name in benchmarks}, settings, workers,
+        **options,
+    )
+
+
+def run_cells_parallel(
+    cells: Mapping[str, List[Tuple[str, ProcessorConfig]]],
+    settings: ExperimentSettings = DEFAULT_SETTINGS,
+    workers: Optional[int] = None,
     *,
     shard_timeout: Optional[float] = None,
     retries: int = 2,
@@ -359,7 +380,8 @@ def run_matrix_parallel(
     precompile: bool = True,
     backend: Optional[str] = None,
 ) -> Dict[str, Dict[str, SimResult]]:
-    """Parallel :func:`repro.experiments.runner.run_matrix`.
+    """Simulate *cells* (``{benchmark: [(label, config), ...]}``) over a
+    process pool, one shard per benchmark.
 
     Returns ``{config_label: {benchmark: SimResult}}``. With
     ``workers=1`` (or a single benchmark) this degrades to the serial
@@ -391,15 +413,15 @@ def run_matrix_parallel(
     """
     from repro.core.backend import resolve_backend
 
-    benchmarks = list(benchmarks)
-    labelled = list(configs.items())
+    shards = {name: list(labelled) for name, labelled in cells.items()}
+    benchmarks = list(shards)
     if workers is None:
         workers = min(len(benchmarks), multiprocessing.cpu_count())
     workers = max(1, workers)
 
     writer, owned = as_writer(telemetry)
     run = _MatrixRun(
-        benchmarks, labelled, settings, writer,
+        shards, settings, writer,
         shard_timeout, retries, retry_backoff, backend,
     )
     started = time.perf_counter()
@@ -409,8 +431,8 @@ def run_matrix_parallel(
         mode="parallel" if parallel_path else "serial",
         backend=resolve_backend(backend),
         benchmarks=len(benchmarks),
-        configs=len(labelled),
-        points=len(benchmarks) * len(labelled),
+        configs=len(run.out),
+        points=sum(len(labelled) for labelled in shards.values()),
         workers=workers,
     )
     aborted = False

@@ -19,7 +19,10 @@ Design:
   check and are treated as absent (and unlinked), so corruption can
   only ever cost a re-simulation, never wrong results.
 * **Schema versioning.** ``SCHEMA_VERSION`` is part of both the
-  address and the record; bumping it orphans every old entry.
+  address and the record; bumping it orphans every old entry. Records
+  under another version's ``v<N>/`` directory are never served, but
+  :meth:`ResultStore.clear` and ``repro cache prune`` still reach them
+  (:meth:`ResultStore.stale_entries`).
 * **Atomic writes.** Records are written to a temporary file in the
   same directory and ``os.replace``d into place, so a crashed or
   parallel writer never publishes a half-written record.
@@ -41,13 +44,16 @@ from typing import Iterator, Optional, Tuple, Union
 
 from repro.core.result import SimResult
 from repro.experiments.export import result_from_record, result_to_record
+from repro.trace.tracestore import version_records
 
 #: Bump when the stored record layout or the meaning of any keyed
 #: field changes; every existing entry is then silently invalidated.
 #: v3: split-window sync-fabric knobs (link latency, bandwidth, memory
 #: banks) joined the runner's config key — v2 entries stored every
 #: fabric point of a split sweep under one colliding address.
-SCHEMA_VERSION = 3
+#: v4: ``config.observe`` left the key; one record per cell, observed
+#: when any request observed it, serves plain and observed requests.
+SCHEMA_VERSION = 4
 
 #: Environment variable naming the default store directory.
 STORE_ENV_VAR = "REPRO_RESULT_STORE"
@@ -206,17 +212,15 @@ class ResultStore:
     # -- maintenance / introspection -----------------------------------------
 
     def entries(self) -> Iterator[str]:
-        """Paths of every record currently in the store."""
-        base = os.path.join(self.root, f"v{SCHEMA_VERSION}")
-        if not os.path.isdir(base):
-            return
-        for shard in sorted(os.listdir(base)):
-            shard_dir = os.path.join(base, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for name in sorted(os.listdir(shard_dir)):
-                if name.endswith(".json"):
-                    yield os.path.join(shard_dir, name)
+        """Paths of every record of the current schema version."""
+        return version_records(self.root, "v", SCHEMA_VERSION, ".json")
+
+    def stale_entries(self) -> Iterator[str]:
+        """Paths of records under any other schema version: never
+        served, so evicting them costs nothing."""
+        return version_records(
+            self.root, "v", SCHEMA_VERSION, ".json", current=False
+        )
 
     def __len__(self) -> int:
         return sum(1 for _ in self.entries())
@@ -231,9 +235,10 @@ class ResultStore:
         return total
 
     def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
+        """Delete every entry, of any schema version; returns how many
+        were removed."""
         removed = 0
-        for path in list(self.entries()):
+        for path in [*self.entries(), *self.stale_entries()]:
             try:
                 os.unlink(path)
                 removed += 1
@@ -252,6 +257,7 @@ class ResultStore:
             "corrupt_dropped": self.corrupt_dropped,
             "stale_dropped": self.stale_dropped,
             "entries": len(self),
+            "stale_entries": sum(1 for _ in self.stale_entries()),
             "size_bytes": self.size_bytes(),
         }
 

@@ -1,8 +1,13 @@
-"""Regenerates the paper's tables (1, 3 and 4) and the stall table."""
+"""Regenerates the paper's tables (1, 3 and 4) and the stall table.
+
+Each simulating driver's ``<driver>_cells`` function declares the cells
+it requests (:class:`~repro.experiments.runner.Cells`).
+"""
 
 from __future__ import annotations
 
 import dataclasses
+from typing import Sequence
 
 from repro.config.presets import continuous_window_64, continuous_window_128
 from repro.config.processor import SchedulingModel, SpeculationPolicy
@@ -15,6 +20,7 @@ from repro.experiments.paper_data import (
 from repro.experiments.report import ExperimentReport
 from repro.experiments.runner import (
     DEFAULT_SETTINGS,
+    Cells,
     ExperimentSettings,
     run_benchmark,
 )
@@ -70,6 +76,14 @@ def table1(
     )
 
 
+def table3_cells(benchmarks: Sequence[str] = ALL_BENCHMARKS) -> Cells:
+    return Cells({
+        "NAS/NO": continuous_window_128(
+            SchedulingModel.NAS, SpeculationPolicy.NO
+        ),
+    }, benchmarks)
+
+
 def table3(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
     benchmarks=ALL_BENCHMARKS,
@@ -81,12 +95,11 @@ def table3(
     the moment its address was ready but older un-issued stores blocked
     it, no older un-issued store truly conflicted.
     """
-    config = continuous_window_128(
-        SchedulingModel.NAS, SpeculationPolicy.NO
-    )
+    cells = table3_cells(benchmarks)
+    config = cells.configs["NAS/NO"]
     rows = []
     data = {}
-    for name in benchmarks:
+    for name in cells.benchmarks:
         result = run_benchmark(name, config, settings)
         short = name.split(".")[0]
         fd = result.false_dependence_fraction * 100
@@ -110,13 +123,26 @@ def table3(
     )
 
 
-#: (window label, policy) cells of the stall-breakdown table, in the
-#: NO -> NAV -> ORACLE order of the paper's F1/F2 argument.
+#: Policies of the stall-breakdown table, in the NO -> NAV -> ORACLE
+#: order of the paper's F1/F2 argument.
 _STALL_POLICIES = (
     SpeculationPolicy.NO,
     SpeculationPolicy.NAIVE,
     SpeculationPolicy.ORACLE,
 )
+
+
+def table_stalls_cells(benchmarks: Sequence[str] = ALL_BENCHMARKS) -> Cells:
+    """Observed NAS machines keyed by (window label, policy)."""
+    return Cells({
+        (window_label, policy): dataclasses.replace(
+            factory(SchedulingModel.NAS, policy), observe=True
+        )
+        for window_label, factory in (
+            ("w64", continuous_window_64), ("w128", continuous_window_128)
+        )
+        for policy in _STALL_POLICIES
+    }, benchmarks)
 
 
 def table_stalls(
@@ -132,27 +158,18 @@ def table_stalls(
     ``sum(causes) + commit == width x cycles`` identity holds per cell
     by construction.
     """
+    cells = table_stalls_cells(benchmarks)
     rows = []
     data = {}
-    cells = [
-        (label, factory, policy)
-        for label, factory in (
-            ("w64", continuous_window_64), ("w128", continuous_window_128)
-        )
-        for policy in _STALL_POLICIES
-    ]
     keys = (
         "commit", "memdep-wait", "store-barrier", "sync-wait",
         "squash-recovery", "cache-miss", "reg-dep", "exec",
         "window-full", "fetch",
     )
-    for window_label, factory, policy in cells:
-        config = dataclasses.replace(
-            factory(SchedulingModel.NAS, policy), observe=True
-        )
+    for (window_label, _), config in cells.configs.items():
         slots = 0
         totals = {key: 0 for key in keys}
-        for name in benchmarks:
+        for name in cells.benchmarks:
             result = run_benchmark(name, config, settings)
             stalls = result.extra["observe"]["stalls"]
             slots += stalls["slots"]
@@ -185,22 +202,28 @@ def table_stalls(
     )
 
 
+def table4_cells(benchmarks: Sequence[str] = ALL_BENCHMARKS) -> Cells:
+    return Cells({
+        "NAV": continuous_window_128(
+            SchedulingModel.NAS, SpeculationPolicy.NAIVE
+        ),
+        "SYNC": continuous_window_128(
+            SchedulingModel.NAS, SpeculationPolicy.SYNC
+        ),
+    }, benchmarks)
+
+
 def table4(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
     benchmarks=ALL_BENCHMARKS,
 ) -> ExperimentReport:
     """Table 4: miss-speculation rate under NAS/NAV and NAS/SYNC."""
-    nav = continuous_window_128(
-        SchedulingModel.NAS, SpeculationPolicy.NAIVE
-    )
-    sync = continuous_window_128(
-        SchedulingModel.NAS, SpeculationPolicy.SYNC
-    )
+    cells = table4_cells(benchmarks)
     rows = []
     data = {}
-    for name in benchmarks:
-        r_nav = run_benchmark(name, nav, settings)
-        r_sync = run_benchmark(name, sync, settings)
+    for name in cells.benchmarks:
+        r_nav = run_benchmark(name, cells.configs["NAV"], settings)
+        r_sync = run_benchmark(name, cells.configs["SYNC"], settings)
         short = name.split(".")[0]
         nav_pct = r_nav.misspeculation_rate * 100
         sync_pct = r_sync.misspeculation_rate * 100

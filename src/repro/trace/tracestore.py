@@ -24,7 +24,9 @@ Keying exploits how traces are produced:
 
 File layout: ``root/t{format}/xx/{digest}.rptc`` where *digest* is the
 SHA-256 of the canonical series identity and *format* is
-:data:`~repro.trace.compiled.COMPILED_FORMAT_VERSION`. Payloads are
+:data:`~repro.trace.compiled.COMPILED_FORMAT_VERSION`. Files under
+another format's ``t<N>/`` are never served; :meth:`TraceStore.clear`
+and ``repro cache prune`` still reach them. Payloads are
 read through ``mmap`` and validated end-to-end (magic, version,
 trailing SHA-256) by :meth:`CompiledTrace.from_bytes`; any structural
 failure unlinks the file and falls through to regeneration, so
@@ -224,17 +226,17 @@ class TraceStore:
     # -- maintenance / introspection -----------------------------------------
 
     def entries(self) -> Iterator[str]:
-        """Paths of every trace file currently in the store."""
-        base = os.path.join(self.root, f"t{COMPILED_FORMAT_VERSION}")
-        if not os.path.isdir(base):
-            return
-        for shard in sorted(os.listdir(base)):
-            shard_dir = os.path.join(base, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for name in sorted(os.listdir(shard_dir)):
-                if name.endswith(".rptc"):
-                    yield os.path.join(shard_dir, name)
+        """Paths of every trace file of the current format."""
+        return version_records(
+            self.root, "t", COMPILED_FORMAT_VERSION, ".rptc"
+        )
+
+    def stale_entries(self) -> Iterator[str]:
+        """Paths of trace files under any other format version: never
+        served, so evicting them costs nothing."""
+        return version_records(
+            self.root, "t", COMPILED_FORMAT_VERSION, ".rptc", current=False
+        )
 
     def __len__(self) -> int:
         return sum(1 for _ in self.entries())
@@ -249,9 +251,10 @@ class TraceStore:
         return total
 
     def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
+        """Delete every entry, of any format version; returns how many
+        were removed."""
         removed = 0
-        for path in list(self.entries()):
+        for path in [*self.entries(), *self.stale_entries()]:
             try:
                 os.unlink(path)
                 removed += 1
@@ -271,8 +274,38 @@ class TraceStore:
             "corrupt_dropped": self.corrupt_dropped,
             "stale_dropped": self.stale_dropped,
             "entries": len(self),
+            "stale_entries": sum(1 for _ in self.stale_entries()),
             "size_bytes": self.size_bytes(),
         }
+
+
+def version_records(
+    root: str, prefix: str, version: int, suffix: str, current: bool = True
+) -> Iterator[str]:
+    """Record paths under ``root/<prefix><version>/xx/``, or with
+    ``current=False`` under every other ``<prefix><N>/`` directory."""
+    if current:
+        versions = [f"{prefix}{version}"]
+    else:
+        try:
+            versions = sorted(
+                name for name in os.listdir(root)
+                if name.startswith(prefix) and name[len(prefix):].isdigit()
+                and int(name[len(prefix):]) != version
+            )
+        except OSError:
+            return
+    for name in versions:
+        base = os.path.join(root, name)
+        if not os.path.isdir(base):
+            continue
+        for shard in sorted(os.listdir(base)):
+            shard_dir = os.path.join(base, shard)
+            if not os.path.isdir(shard_dir):
+                continue
+            for entry in sorted(os.listdir(shard_dir)):
+                if entry.endswith(suffix):
+                    yield os.path.join(shard_dir, entry)
 
 
 # -- process-wide active store ----------------------------------------------

@@ -173,3 +173,148 @@ def test_status_subcommand_missing_file(capsys, tmp_path):
     rc = cli.main(["status", str(tmp_path / "absent.jsonl")])
     assert rc == 1
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["table3", "--timing", "0", "--warmup", "0"], "--timing must be >= 1"),
+        (["table3", "--timing", "-5"], "--timing must be >= 1"),
+        (["table3", "--warmup", "-3", "--timing", "50"],
+         "--warmup must be >= 0"),
+        (["figure1", "--parallel", "-2", "--timing", "60", "--warmup", "40"],
+         "--parallel must be >= 0"),
+    ],
+    ids=["zero-timing", "negative-timing", "negative-warmup",
+         "negative-parallel"],
+)
+def test_cli_rejects_bad_run_lengths(monkeypatch, capsys, argv, message):
+    """A run length or worker count out of range is a usage error
+    (exit 2), not a traceback from the sampler or a silent serial run."""
+    from repro.experiments.report import ExperimentReport
+
+    for name in ("table3", "figure1"):
+        monkeypatch.setitem(
+            cli.ARTIFACTS, name,
+            lambda settings: ExperimentReport("T", "t", ("a",), [("x",)]),
+        )
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+#: The run size of the planning tests below: big enough to run every
+#: artifact, small enough for about a second of simulation.
+_SMALL = ["--timing", "60", "--warmup", "40"]
+
+
+def _finished(telemetry):
+    from repro.experiments.telemetry import read_telemetry
+
+    return {
+        event["artifact"]: event["simulations"]
+        for event in read_telemetry(telemetry)
+        if event["event"] == "artifact_finish"
+    }
+
+
+@pytest.fixture(scope="module")
+def serial_all(tmp_path_factory):
+    """``all`` at :data:`_SMALL`, recording every request each artifact
+    makes as ``(benchmark, config key, observed)``."""
+    from repro.experiments import ablations, figures, runner, tables
+
+    clear_results()
+    set_store(None)
+    out = tmp_path_factory.mktemp("serial")
+    requests = {}
+    current = []
+    original = runner.run_benchmark
+
+    def recording(name, config, settings, *args, **kwargs):
+        requests.setdefault(current[-1], set()).add(
+            (name, runner._config_key(config), config.observe)
+        )
+        return original(name, config, settings, *args, **kwargs)
+
+    def tagged(artifact, render):
+        def wrapper(settings):
+            current.append(artifact)
+            return render(settings)
+        return wrapper
+
+    patch = pytest.MonkeyPatch()
+    for module in (figures, tables, ablations):
+        patch.setattr(module, "run_benchmark", recording)
+    for artifact, render in list(cli.ARTIFACTS.items()):
+        patch.setitem(cli.ARTIFACTS, artifact, tagged(artifact, render))
+    try:
+        cli.main(["all", *_SMALL, "--json", str(out / "json"),
+                  "--telemetry", str(out / "run.jsonl")])
+        stats = runner.cache_stats()
+    finally:
+        patch.undo()
+        clear_results()
+    return {"out": out, "requests": requests, "stats": stats}
+
+
+def test_all_requests_only_declared_cells(serial_all):
+    from repro.experiments.runner import _config_key
+
+    for artifact, requested in serial_all["requests"].items():
+        declared = cli.CELLS[artifact]()
+        assert requested == {
+            (name, _config_key(config), config.observe)
+            for config in declared.configs.values()
+            for name in declared.benchmarks
+        }, artifact
+    assert set(serial_all["requests"]) == set(cli.CELLS)
+
+
+def test_all_simulates_each_distinct_cell_once(serial_all):
+    distinct = {
+        (name, key)
+        for requested in serial_all["requests"].values()
+        for name, key, _ in requested
+    }
+    assert len(distinct) == 396
+    assert serial_all["stats"].simulations == 396
+    assert sum(_finished(serial_all["out"] / "run.jsonl").values()) == 396
+
+
+def test_plan_is_lazy_and_observes_at_the_first_request(tmp_path):
+    """Planning simulates nothing; ``figure1``'s cells, which ``stalls``
+    observes later, are simulated observed when ``figure1`` asks."""
+    from repro.experiments.runner import cache_stats
+
+    at_start = []
+    render = cli.ARTIFACTS["figure1"]
+
+    def first(settings):
+        at_start.append(cache_stats().simulations)
+        return render(settings)
+
+    telemetry = tmp_path / "run.jsonl"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(cli.ARTIFACTS, "figure1", first)
+        cli.main(["figure1", "stalls", *_SMALL,
+                  "--telemetry", str(telemetry)])
+    assert at_start == [0]
+    # figure1: 4 designs x 18 benchmarks. stalls: 6 x 18, of which
+    # figure1 already ran w64/w128 NO and ORACLE observed.
+    assert _finished(telemetry) == {"figure1": 72, "stalls": 36}
+
+
+def test_parallel_all_renders_without_simulating(serial_all, tmp_path):
+    telemetry = tmp_path / "run.jsonl"
+    cli.main(["all", *_SMALL, "--parallel", "2",
+              "--json", str(tmp_path / "json"),
+              "--telemetry", str(telemetry)])
+    finished = _finished(telemetry)
+    assert set(finished) == set(cli.ARTIFACTS)
+    assert set(finished.values()) == {0}
+    serial = serial_all["out"] / "json"
+    for path in sorted(serial.iterdir()):
+        assert (tmp_path / "json" / path.name).read_bytes() == \
+            path.read_bytes(), path.name

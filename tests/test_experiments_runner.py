@@ -153,3 +153,71 @@ def test_run_matrix_shape():
     matrix = run_matrix(("132.ijpeg", "107.mgrid"), configs, _SETTINGS)
     assert set(matrix) == {"NO", "ORACLE"}
     assert set(matrix["NO"]) == {"132.ijpeg", "107.mgrid"}
+
+
+def _observed(config):
+    import dataclasses
+
+    return dataclasses.replace(config, observe=True)
+
+
+def test_plain_request_after_observed_is_a_memory_hit():
+    from repro.experiments.runner import cache_stats
+
+    config = continuous_window_128()
+    observed = run_benchmark("132.ijpeg", _observed(config), _SETTINGS)
+    assert "observe" in observed.extra
+    held = dict(observed.extra)
+
+    plain = run_benchmark("132.ijpeg", config, _SETTINGS)
+    stats = cache_stats()
+    assert (stats.simulations, stats.memory_hits) == (1, 1)
+    assert "observe" not in plain.extra
+    assert plain.cycles == observed.cycles
+    assert plain.committed == observed.committed
+    # The memo still holds the observed result, untouched.
+    assert observed.extra == held
+    again = run_benchmark("132.ijpeg", _observed(config), _SETTINGS)
+    assert again is observed
+    assert cache_stats().simulations == 1
+
+
+def test_planned_cell_is_simulated_observed_at_its_first_request():
+    from repro.experiments.runner import (
+        Cells, cache_stats, observe_planned, plan_cells,
+    )
+
+    config = continuous_window_128()
+    cells = plan_cells(
+        [Cells({"plain": config}, ("132.ijpeg", "107.mgrid")),
+         Cells({"observed": _observed(config)}, ("132.ijpeg",))],
+        _SETTINGS,
+    )
+    assert len(cells) == 2
+    with observe_planned(cells):
+        plain = run_benchmark("132.ijpeg", config, _SETTINGS)
+        run_benchmark("107.mgrid", config, _SETTINGS)
+        observed = run_benchmark("132.ijpeg", _observed(config), _SETTINGS)
+    assert "observe" not in plain.extra
+    assert "observe" in observed.extra
+    stats = cache_stats()
+    assert (stats.simulations, stats.memory_hits) == (2, 1)
+    # The plan ends with its block: a new plain cell simulates plain.
+    clear_results()
+    assert "observe" not in run_benchmark(
+        "132.ijpeg", config, _SETTINGS
+    ).extra
+
+
+def test_parallel_fold_keeps_an_observed_result():
+    from repro.experiments import runner
+    from repro.experiments.parallel import run_matrix_parallel
+
+    config = continuous_window_128()
+    observed = run_benchmark("132.ijpeg", _observed(config), _SETTINGS)
+    out = run_matrix_parallel(
+        ("132.ijpeg",), {"plain": config}, _SETTINGS, workers=1
+    )
+    assert "observe" not in out["plain"]["132.ijpeg"].extra
+    key = ("132.ijpeg", _SETTINGS, runner._config_key(config))
+    assert runner._result_cache[key] is observed

@@ -220,3 +220,55 @@ def test_set_store_none_disables(tmp_path, monkeypatch):
     monkeypatch.setenv(store_mod.STORE_ENV_VAR, str(tmp_path))
     set_store(None)
     assert store_mod.active_store() is None
+
+
+def test_observed_request_after_plain_resimulates_and_upgrades(tmp_path):
+    import dataclasses
+
+    store = set_store(tmp_path)
+    run_benchmark("132.ijpeg", _CONFIG, _SETTINGS)
+    key = _config_key(_CONFIG)
+    assert "observe" not in store.load("132.ijpeg", _SETTINGS, key).extra
+
+    observed = dataclasses.replace(_CONFIG, observe=True)
+    result = run_benchmark("132.ijpeg", observed, _SETTINGS)
+    assert cache_stats().simulations == 2
+    assert "observe" in result.extra
+    assert len(store) == 1
+    stored = store.load("132.ijpeg", _SETTINGS, key)
+    assert stored.extra["observe"] == result.extra["observe"]
+
+    # A new process: the observed record serves a plain request.
+    clear_results()
+    plain = run_benchmark("132.ijpeg", _CONFIG, _SETTINGS)
+    assert cache_stats().store_hits == 1
+    assert "observe" not in plain.extra
+    assert plain.cycles == result.cycles
+
+
+def test_clear_and_prune_reach_older_schema_records(
+    tmp_path, monkeypatch, capsys
+):
+    from repro.experiments.cli import main
+
+    store = ResultStore(tmp_path)
+    key = _config_key(_CONFIG)
+    old = store.save("132.ijpeg", _SETTINGS, key, _sample_result())
+    monkeypatch.setattr(store_mod, "SCHEMA_VERSION", store_mod.SCHEMA_VERSION + 1)
+    current = store.save("132.ijpeg", _SETTINGS, key, _sample_result())
+    assert list(store.entries()) == [current]
+    assert list(store.stale_entries()) == [old]
+    assert store.stats()["stale_entries"] == 1
+
+    assert main(["cache", "--path", str(tmp_path),
+                 "--trace-path", str(tmp_path / "traces")]) == 0
+    assert "older schemas   1" in capsys.readouterr().out
+    assert main(["cache", "prune", "--path", str(tmp_path),
+                 "--max-age", "0", "--apply", "--results-only"]) == 0
+    assert "pruned 2/2" in capsys.readouterr().out
+    assert not os.path.exists(old)
+
+    old = store.save("132.ijpeg", _SETTINGS, key, _sample_result())
+    monkeypatch.setattr(store_mod, "SCHEMA_VERSION", store_mod.SCHEMA_VERSION + 1)
+    assert store.clear() == 1
+    assert not os.path.exists(old)

@@ -185,6 +185,22 @@ def test_stats_and_clear(store):
     assert len(store) == 0
 
 
+def test_clear_reaches_older_format_files(store, monkeypatch):
+    import repro.trace.tracestore as tracestore
+
+    _, compiled = _compiled()
+    old = store.save(compiled, 0, GENERATOR_VERSION)
+    monkeypatch.setattr(
+        tracestore, "COMPILED_FORMAT_VERSION",
+        tracestore.COMPILED_FORMAT_VERSION + 1,
+    )
+    assert list(store.entries()) == []
+    assert list(store.stale_entries()) == [old]
+    assert store.stats()["stale_entries"] == 1
+    assert store.clear() == 1
+    assert not os.path.exists(old)
+
+
 def test_env_var_activates_store(tmp_path, monkeypatch):
     import repro.trace.tracestore as tracestore
 

@@ -2,10 +2,11 @@
 """Watch individual instructions move through the pipeline.
 
 Runs the dependence-free copy loop twice — under no speculation and
-under oracle disambiguation — capturing a window of committed
-instructions with a :class:`TimelineRecorder`. In the NAS/NO view each
-load sits in the LSQ (``-`` marks) until every older store has issued;
-under the oracle the same loads go straight to memory.
+under oracle disambiguation — with a :class:`PipelineRecorder` on the
+observer bus, and draws a window of committed instructions with
+:func:`pipeview`. In the NAS/NO view each load sits in the LSQ (``-``
+marks) until every older store has issued; under the oracle the same
+loads go straight to memory.
 
 Run::
 
@@ -17,22 +18,27 @@ from repro.config import (
     SchedulingModel,
     SpeculationPolicy,
 )
-from repro.core import Processor, TimelineRecorder
+from repro.core import Processor
+from repro.observe import ObserverBus, PipelineRecorder, pipeview
 from repro.workloads import kernel_trace
 
 
 def main() -> None:
     trace = kernel_trace("memcopy", words=400)
-    # Capture a slice from the middle of the run (steady state).
+    # Draw a slice from the middle of the run (steady state).
     start_seq = len(trace) // 2
 
     for policy in (SpeculationPolicy.NO, SpeculationPolicy.ORACLE):
-        recorder = TimelineRecorder(start_seq=start_seq, limit=21)
+        recorder = PipelineRecorder()
         config = continuous_window_128(SchedulingModel.NAS, policy)
-        result = Processor(config, trace, timeline=recorder).run()
+        result = Processor(
+            config, trace, observer=ObserverBus([recorder])
+        ).run()
+        records = [r for r in recorder.records if r.seq >= start_seq][:21]
+        residency = sum(r.commit - r.dispatch for r in records) / len(records)
         print(f"=== {config.label}  (IPC {result.ipc:.2f}, "
-              f"mean residency {recorder.mean_latency():.1f} cycles) ===")
-        print(recorder.render(max_width=72))
+              f"mean residency {residency:.1f} cycles) ===")
+        print(pipeview(records, max_width=72))
         print()
 
     print(

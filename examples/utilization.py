@@ -2,10 +2,11 @@
 """Machine utilisation under different speculation policies.
 
 Samples per-cycle window occupancy, issue bandwidth and memory-port
-usage while the same workload runs under NAS/NO and NAS/ORACLE, then
-prints both utilisation reports. The contrast explains *where* the
-performance goes under no speculation: the window fills with loads
-blocked behind stores, and issue bandwidth sits idle.
+usage with a :class:`UtilisationSampler` on the observer bus while the
+same workload runs under NAS/NO and NAS/ORACLE, then prints both
+utilisation reports. The contrast explains *where* the performance goes
+under no speculation: the window fills with loads blocked behind
+stores, and issue bandwidth sits idle.
 
 Run::
 
@@ -19,7 +20,8 @@ from repro.config import (
     SchedulingModel,
     SpeculationPolicy,
 )
-from repro.core import Processor, Telemetry
+from repro.core import Processor
+from repro.observe import ObserverBus, UtilisationSampler
 from repro.trace.dependences import compute_dependence_info
 from repro.trace.sampling import SamplingPlan, Segment
 from repro.workloads import get_trace
@@ -41,16 +43,13 @@ def main() -> None:
     )
 
     for policy in (SpeculationPolicy.NO, SpeculationPolicy.ORACLE):
-        telemetry = Telemetry()
         config = continuous_window_128(SchedulingModel.NAS, policy)
+        sampler = UtilisationSampler(config)
         result = Processor(
-            config, trace, dep_info, telemetry=telemetry
+            config, trace, dep_info, observer=ObserverBus([sampler])
         ).run(plan)
         print(f"=== {config.label}  (IPC {result.ipc:.2f}) ===")
-        print(telemetry.render(
-            issue_width=config.window.issue_width,
-            ports=config.window.memory_ports,
-        ))
+        print(sampler.render())
         print()
 
 

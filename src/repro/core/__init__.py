@@ -3,8 +3,6 @@
 from repro.core.result import SimResult
 from repro.core.window import Entry, Window
 from repro.core.processor import Processor, simulate
-from repro.core.timeline import InstructionTimeline, TimelineRecorder
-from repro.core.telemetry import Telemetry
 
 __all__ = [
     "SimResult",
@@ -12,7 +10,4 @@ __all__ = [
     "Window",
     "Processor",
     "simulate",
-    "InstructionTimeline",
-    "TimelineRecorder",
-    "Telemetry",
 ]

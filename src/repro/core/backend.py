@@ -27,8 +27,9 @@ Selection precedence (first non-empty wins)::
     explicit argument > config.backend > $REPRO_BACKEND > "reference"
 
 The ``vector`` backend transparently delegates to ``reference`` when a
-run needs per-instruction objects (observability, timeline or
-telemetry) — see :func:`vector_limitation`.
+run is observed (an attached :class:`~repro.observe.ObserverBus` or
+``config.observe``), since every observer-bus sink reads
+per-instruction objects — see :func:`vector_limitation`.
 
 The vector core additionally runs with **event-horizon cycle elision**
 by default: when a cycle provably cannot schedule, complete, fetch or
@@ -38,8 +39,7 @@ and the skipped cycles are charged to the same stall causes the
 never changes results (every golden cell is bit-identical either way;
 ``repro.check.elision`` verifies each elided cycle is
 schedulable-empty on the reference core). ``REPRO_VECTOR_ELIDE=0``
-forces the single-step walk for A/B debugging — see
-:func:`backend_capabilities`.
+forces the single-step walk for A/B debugging.
 """
 
 from __future__ import annotations
@@ -114,55 +114,15 @@ def resolve_backend(
     return name
 
 
-def backend_capabilities(name: str) -> Dict[str, object]:
-    """Feature flags for a registered backend (raises on unknown).
-
-    Keys:
-
-    ``objects``
-        Keeps per-instruction objects — required for observability,
-        timelines and telemetry.
-    ``compiled_columns``
-        Consumes packed ``CompiledTrace`` columns without ``DynInst``
-        materialization.
-    ``cycle_elision``
-        Supports event-horizon cycle elision, with the current
-        effective setting in ``elision_enabled`` (read from
-        :data:`ELIDE_ENV` at call time) and the knob name in
-        ``elision_env``.
-    """
-    if name not in _REGISTRY:
-        raise UnknownBackendError(name)
-    if name == "vector":
-        return {
-            "objects": False,
-            "compiled_columns": True,
-            "cycle_elision": True,
-            "elision_enabled": os.environ.get(ELIDE_ENV, "1") != "0",
-            "elision_env": ELIDE_ENV,
-        }
-    return {
-        "objects": True,
-        "compiled_columns": False,
-        "cycle_elision": False,
-    }
-
-
-def vector_limitation(
-    config, observer=None, timeline=None, telemetry=None
-) -> Optional[str]:
+def vector_limitation(config, observer=None) -> Optional[str]:
     """Why this run cannot use the vector fast path (None if it can).
 
-    The vector core keeps no per-instruction objects, so anything that
-    wants to inspect them — the observability bus, pipeview timelines,
-    utilisation telemetry — forces the reference backend.
+    The vector core keeps no per-instruction objects, and the observer
+    bus's sinks read them, so an observed run forces the reference
+    backend.
     """
     if observer is not None or getattr(config, "observe", False):
         return "observability requires the reference backend"
-    if timeline is not None:
-        return "timeline recording requires the reference backend"
-    if telemetry is not None:
-        return "telemetry sampling requires the reference backend"
     return None
 
 
@@ -170,29 +130,15 @@ def vector_limitation(
 # built-in backends (lazy imports: processor.py imports this module)
 # ----------------------------------------------------------------------
 
-def _reference_factory(
-    config, trace, dep_info=None, observer=None, **kwargs
-):
+def _reference_factory(config, trace, dep_info=None, observer=None):
     from repro.core.processor import Processor
 
-    return Processor(
-        config, trace, dep_info, observer=observer, **kwargs
-    )
+    return Processor(config, trace, dep_info, observer=observer)
 
 
-def _vector_factory(
-    config, trace, dep_info=None, observer=None, **kwargs
-):
-    reason = vector_limitation(
-        config,
-        observer=observer,
-        timeline=kwargs.get("timeline"),
-        telemetry=kwargs.get("telemetry"),
-    )
-    if reason is not None:
-        return _reference_factory(
-            config, trace, dep_info, observer=observer, **kwargs
-        )
+def _vector_factory(config, trace, dep_info=None, observer=None):
+    if vector_limitation(config, observer) is not None:
+        return _reference_factory(config, trace, dep_info, observer)
     from repro.core.vector import VectorProcessor
 
     return VectorProcessor(config, trace, dep_info)

@@ -77,8 +77,6 @@ class Processor:
         config: ProcessorConfig,
         trace: Trace,
         dep_info: Optional[Dict[int, DependenceInfo]] = None,
-        timeline: Optional["TimelineRecorder"] = None,
-        telemetry: Optional["Telemetry"] = None,
         observer=None,
     ) -> None:
         if config.split.enabled:
@@ -88,10 +86,6 @@ class Processor:
             )
         self.config = config
         self.trace = trace
-        #: Optional pipeview recorder (repro.core.timeline).
-        self.timeline = timeline
-        #: Optional utilisation sampler (repro.core.telemetry).
-        self.telemetry = telemetry
         #: Optional observability bus (repro.observe). Every hook is an
         #: ``if observer is not None`` guard, so a detached processor is
         #: bit-identical and within noise of the pre-hook simulator.
@@ -293,8 +287,6 @@ class Processor:
         begin_cycle = self.funits.begin_cycle
         issue_memory = self._issue_memory
         issue_exec = self._issue_exec
-        funits = self.funits
-        telemetry = self.telemetry
         dispatch = self._dispatch
         fetch_tick = fetch.tick
         maybe_flush = self._maybe_flush_tables
@@ -311,12 +303,6 @@ class Processor:
             begin_cycle(self.cycle)
             issue_memory()
             issue_exec()
-            if telemetry is not None:
-                telemetry.sample(
-                    occupancy=len(window),
-                    issued=funits.issued_this_cycle,
-                    ports_used=funits.ports_used_this_cycle,
-                )
             dispatch()
             if fetch_tick(self.cycle):
                 self._progress = True
@@ -622,7 +608,6 @@ class Processor:
         stats = self.stats
         budget = self._issue_width
         cycle = self.cycle
-        timeline = self.timeline
         observer = self.observer
         committed = 0
         while budget and entries:
@@ -635,8 +620,6 @@ class Processor:
             window.commit_head()
             budget -= 1
             committed += 1
-            if timeline is not None:
-                timeline.on_commit(head, cycle)
             if observer is not None:
                 observer.emit_commit(head, cycle)
             if head.is_load:

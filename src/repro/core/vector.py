@@ -14,11 +14,10 @@ standard library.
 
 The port must stay bit-identical to the reference — the golden-parity
 suite and CI's ``backend-parity`` job compare every :class:`SimResult`
-field. Observability, timelines and telemetry are routed to the
-reference backend by :func:`repro.core.backend.vector_limitation`, and
-split-window configs run on
-:class:`repro.splitwindow.SplitWindowProcessor`; this class rejects
-those arguments outright.
+field. Observed runs are routed to the reference backend by
+:func:`repro.core.backend.vector_limitation`, and split-window configs
+run on :class:`repro.splitwindow.SplitWindowProcessor`; this class
+rejects those arguments outright.
 """
 
 from __future__ import annotations

@@ -206,11 +206,9 @@ def _dispatch(argv=None) -> int:
              "control",
     )
     args = parser.parse_args(argv)
-    for flag, value, least in (("--timing", args.timing, 1),
+    _require_at_least(parser, (("--timing", args.timing, 1),
                                ("--warmup", args.warmup, 0),
-                               ("--parallel", args.parallel, 0)):
-        if value < least:
-            parser.error(f"{flag} must be >= {least} (got {value})")
+                               ("--parallel", args.parallel, 0)))
 
     if args.quick:
         settings = ExperimentSettings(6_000, 4_000, args.seed)
@@ -273,6 +271,14 @@ def _dispatch(argv=None) -> int:
             args.observe, limit=20_000,
         )
     return 0
+
+
+def _require_at_least(parser, bounds) -> None:
+    """Exit with a usage error (status 2) on the first
+    ``(flag, value, least)`` of *bounds* whose value is below *least*."""
+    for flag, value, least in bounds:
+        if value < least:
+            parser.error(f"{flag} must be >= {least} (got {value})")
 
 
 def _observe_bundle(
@@ -407,6 +413,10 @@ def _observe_main(argv) -> int:
         help="output directory (default 'observe')",
     )
     args = parser.parse_args(argv)
+    _require_at_least(parser, (("--timing", args.timing, 1),
+                               ("--warmup", args.warmup, 0),
+                               ("--latency", args.latency, 0),
+                               ("--limit", args.limit, 1)))
 
     if args.quick:
         settings = ExperimentSettings(6_000, 4_000, args.seed)
@@ -551,6 +561,10 @@ def _check_main(argv) -> int:
             print(f"wrote {path}")
 
     if args.mode == "run":
+        _require_at_least(run_p, (("--timing", args.timing, 1),
+                                  ("--warmup", args.warmup, 0),
+                                  ("--latency", args.latency, 0),
+                                  ("--stride", args.stride, 1)))
         from repro.check import check_benchmark, fault_names
         from repro.config import SchedulingModel, SpeculationPolicy
         from repro.config.presets import (
@@ -611,6 +625,7 @@ def _check_main(argv) -> int:
         return 0 if record["ok"] else 1
 
     # args.mode == "fuzz"
+    _require_at_least(fuzz_p, (("--budget", args.budget, 0),))
     from repro.check.fuzz import (
         FuzzCell, fuzz as run_fuzz, load_corpus, save_corpus,
     )

@@ -1,9 +1,12 @@
 """Exporters for observed pipeline activity.
 
-Three output formats, all fed by a :class:`PipelineRecorder` sink (or,
+Four output formats, all fed by a :class:`PipelineRecorder` sink (or,
 for :func:`write_summary` / :func:`validate_summary`, by the stall
 summary attached to an observed :class:`~repro.core.result.SimResult`):
 
+* :func:`pipeview` — an ASCII pipeline view of chosen records, one row
+  per instruction over a cycle axis: the quickest way to *see* a load
+  held in the LSQ behind older stores.
 * :func:`chrome_trace` — Chrome ``trace_event`` JSON (open in
   ``chrome://tracing`` or https://ui.perfetto.dev). Each committed
   instruction is one complete ("X") slice; concurrent instructions are
@@ -22,12 +25,11 @@ summary attached to an observed :class:`~repro.core.result.SimResult`):
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.observe.bus import (
     EV_BLOCKED,
     EV_COMMIT,
-    EV_DISPATCH,
     EV_FETCH,
     EV_REPLAY,
     EV_SQUASH,
@@ -75,6 +77,8 @@ class PipelineRecorder:
     summary_key = "pipeline"
 
     def __init__(self, limit: int = 20_000) -> None:
+        if limit < 1:
+            raise ValueError(f"limit must be >= 1 (got {limit})")
         self.limit = limit
         self.records: List[PipelineRecord] = []
         self.squashes: List[dict] = []
@@ -142,6 +146,52 @@ def _record_start(record: PipelineRecord) -> int:
     if record.dispatch is not None:
         return record.dispatch
     return record.commit
+
+
+def pipeview(records: Iterable[PipelineRecord], max_width: int = 100) -> str:
+    """ASCII pipeview of *records*, one row per instruction.
+
+    Marks: ``D`` dispatch, ``I`` issue, ``-`` a load waiting in the LSQ
+    between address generation and its memory access, ``M`` that
+    access, ``=`` in flight, ``C`` done (a store's write; a store draws
+    no ``M``), ``R`` commit. Callers pick the rows, e.g.
+    ``[r for r in recorder.records if r.seq >= start][:20]``. A span
+    wider than *max_width* cycles is drawn several cycles per column.
+    """
+    records = list(records)
+    if not records:
+        return "(no instructions captured)"
+    base = min(r.dispatch for r in records)
+    end = max(r.commit for r in records)
+    span = end - base + 1
+    scale = max(1, -(-span // max_width))  # cycles per column
+    columns = -(-span // scale)
+
+    def col(cycle: int) -> int:
+        return min(columns - 1, max(0, (cycle - base) // scale))
+
+    lines = [
+        f"cycles {base}..{end}"
+        + (f" ({scale} cycles/column)" if scale > 1 else "")
+    ]
+    for r in records:
+        row = [" "] * columns
+        mem = None if r.op == "STORE" else r.mem_issue
+        if r.issue is not None and r.done is not None:
+            issue = col(r.issue)
+            for i in range(issue, col(r.done) + 1):
+                row[i] = "="
+            if r.op == "LOAD" and mem is not None:
+                for i in range(issue, col(mem)):
+                    row[i] = "-"
+        for mark, cycle in (
+            ("D", r.dispatch), ("I", r.issue), ("M", mem),
+            ("C", r.done), ("R", r.commit),
+        ):
+            if cycle is not None:
+                row[col(cycle)] = mark
+        lines.append(f"{r.seq:6d} {r.op:8s} |{''.join(row)}|")
+    return "\n".join(lines)
 
 
 def chrome_trace(recorder: PipelineRecorder, pid: int = 0) -> dict:

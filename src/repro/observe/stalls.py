@@ -1,4 +1,4 @@
-"""Commit-slot stall attribution and structure-occupancy histograms.
+"""Commit-slot stall attribution, occupancy and utilisation histograms.
 
 Every simulated cycle offers ``issue_width`` commit slots. Committed
 instructions fill some; :class:`StallAccountant` charges every leftover
@@ -48,6 +48,12 @@ Occupancy histograms sample the window, scheduler pools, store buffer
 and (sub-sampled — it is O(sets) to read) the MDPT every observed
 cycle; summaries report mean/max plus percentiles via the existing
 :func:`repro.stats.summary.percentile`.
+
+:class:`UtilisationSampler` answers the capacity questions behind the
+paper's configuration choices — how full the window runs, how much of
+the issue bandwidth a policy uses, whether the memory ports saturate —
+with one histogram each of window occupancy, instructions issued and
+memory ports used per simulated cycle.
 """
 
 from __future__ import annotations
@@ -65,7 +71,7 @@ from repro.core.processor import (
     _GATE_PREDICTED,
     _GATE_SYNC,
 )
-from repro.observe.bus import EV_SQUASH
+from repro.observe.bus import RawObserverSink
 from repro.stats.summary import percentile
 
 CAUSE_FETCH = "fetch"
@@ -118,6 +124,10 @@ class OccupancyHistogram:
         if value > self.max:
             self.max = value
 
+    @property
+    def mean(self) -> float:
+        return self.total / self.samples if self.samples else 0.0
+
     def _expand(self):
         values = []
         for value, count in sorted(self.counts.items()):
@@ -133,7 +143,7 @@ class OccupancyHistogram:
         values = self._expand()
         return {
             "samples": self.samples,
-            "mean": round(self.total / self.samples, 3),
+            "mean": round(self.mean, 3),
             "max": self.max,
             "p50": round(percentile(values, 0.50), 3),
             "p90": round(percentile(values, 0.90), 3),
@@ -171,10 +181,6 @@ class StallAccountant:
         self._mdpt_tick = 0
 
     # -- bus callbacks ---------------------------------------------------
-
-    def on_event(self, event) -> None:  # pragma: no cover - not wired
-        if event.kind == EV_SQUASH:
-            self.on_squash(event.info["resume"])
 
     def on_squash(self, resume_cycle: int) -> None:
         self._squash_until = resume_cycle + self._front_end_depth
@@ -426,6 +432,60 @@ class StallAccountant:
                 for name, hist in self.occupancy.items()
             },
         }
+
+
+class UtilisationSampler(RawObserverSink):
+    """Per-cycle window occupancy, issue bandwidth and memory-port use.
+
+    Each simulated cycle is sampled as the machine stood after issue and
+    before that cycle's dispatches: the window length at ``on_cycle``
+    minus the dispatches seen since the last one. Cycles the clock
+    fast-forwards over are not sampled.
+    """
+
+    wants_cycles = True
+
+    def __init__(self, config) -> None:
+        self.issue_width = config.window.issue_width
+        self.memory_ports = config.window.memory_ports
+        self.window = OccupancyHistogram()
+        self.issued = OccupancyHistogram()
+        self.ports = OccupancyHistogram()
+        self._dispatched = 0
+
+    def raw_dispatch(self, entry, cycle: int) -> None:
+        self._dispatched += 1
+
+    def on_segment(self, processor) -> None:
+        pass
+
+    def on_squash(self, resume_cycle: int) -> None:
+        pass
+
+    def on_cycle(self, processor) -> None:
+        funits = processor.funits
+        self.window.add(len(processor.window) - self._dispatched)
+        self._dispatched = 0
+        self.issued.add(funits.issued_this_cycle)
+        self.ports.add(funits.ports_used_this_cycle)
+
+    def render(self) -> str:
+        """Means of the three histograms plus the issue-width histogram."""
+        issued = self.issued
+        lines = [
+            f"cycles sampled     {issued.samples:,}",
+            f"window occupancy   mean {self.window.mean:.1f}, "
+            f"max {self.window.max}",
+            f"issue bandwidth    mean {issued.mean:.2f}/{self.issue_width}",
+            f"memory ports       mean {self.ports.mean:.2f}/"
+            f"{self.memory_ports}",
+            "issue-width histogram:",
+        ]
+        for width, count in sorted(issued.counts.items()):
+            share = count / max(1, issued.samples)
+            bar = "#" * round(40 * share)
+            lines.append(f"  {width:2d} |{bar:<40s}| {share:5.1%}")
+        return "\n".join(lines)
 
 
 def stall_summary(result) -> Optional[dict]:

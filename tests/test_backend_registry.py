@@ -6,7 +6,7 @@ a simulator core. These tests pin its contract: unknown names fail
 fast with the available choices listed, precedence is
 ``explicit > config.backend > $REPRO_BACKEND > default``, and the
 ``vector`` factory transparently delegates to ``reference`` whenever
-a run needs per-instruction objects.
+a run is observed.
 """
 
 import pytest
@@ -19,7 +19,6 @@ from repro.core.backend import (
     ELIDE_ENV,
     UnknownBackendError,
     available_backends,
-    backend_capabilities,
     get_backend,
     register_backend,
     resolve_backend,
@@ -102,25 +101,7 @@ def test_vector_limitation_cases():
     plain = _config()
     assert vector_limitation(plain) is None
     assert vector_limitation(plain, observer=object()) is not None
-    assert vector_limitation(plain, timeline=object()) is not None
-    assert vector_limitation(plain, telemetry=object()) is not None
     assert vector_limitation(_config(observe=True)) is not None
-
-
-def test_backend_capabilities(monkeypatch):
-    ref = backend_capabilities("reference")
-    assert ref["objects"] and not ref["cycle_elision"]
-
-    monkeypatch.delenv(ELIDE_ENV, raising=False)
-    vec = backend_capabilities("vector")
-    assert vec["compiled_columns"] and vec["cycle_elision"]
-    assert vec["elision_enabled"] and vec["elision_env"] == ELIDE_ENV
-
-    monkeypatch.setenv(ELIDE_ENV, "0")
-    assert not backend_capabilities("vector")["elision_enabled"]
-
-    with pytest.raises(UnknownBackendError):
-        backend_capabilities("warp-drive")
 
 
 def test_elide_env_controls_vector_processor(monkeypatch):

@@ -184,14 +184,39 @@ def test_status_subcommand_missing_file(capsys, tmp_path):
          "--warmup must be >= 0"),
         (["figure1", "--parallel", "-2", "--timing", "60", "--warmup", "40"],
          "--parallel must be >= 0"),
+        (["observe", "099.go", "--timing", "0"], "--timing must be >= 1"),
+        (["observe", "099.go", "--warmup", "-1", "--timing", "60"],
+         "--warmup must be >= 0"),
+        (["observe", "099.go", "--latency", "-1"], "--latency must be >= 0"),
+        (["observe", "099.go", "--limit", "0", "--timing", "60",
+          "--warmup", "40"], "--limit must be >= 1"),
+        (["check", "run", "099.go", "--timing", "0"],
+         "--timing must be >= 1"),
+        (["check", "run", "099.go", "--warmup", "-1", "--timing", "60"],
+         "--warmup must be >= 0"),
+        (["check", "run", "099.go", "--latency", "-1"],
+         "--latency must be >= 0"),
+        (["check", "run", "099.go", "--stride", "0", "--timing", "60",
+          "--warmup", "40"], "--stride must be >= 1"),
+        (["check", "fuzz", "--budget", "-1"], "--budget must be >= 0"),
     ],
     ids=["zero-timing", "negative-timing", "negative-warmup",
-         "negative-parallel"],
+         "negative-parallel", "observe-zero-timing",
+         "observe-negative-warmup", "observe-negative-latency",
+         "observe-zero-limit", "check-run-zero-timing",
+         "check-run-negative-warmup", "check-run-negative-latency",
+         "check-run-zero-stride", "check-fuzz-negative-budget"],
 )
-def test_cli_rejects_bad_run_lengths(monkeypatch, capsys, argv, message):
-    """A run length or worker count out of range is a usage error
-    (exit 2), not a traceback from the sampler or a silent serial run."""
+def test_cli_rejects_bad_run_lengths(
+    monkeypatch, capsys, tmp_path, argv, message
+):
+    """A run length, worker count, latency, record limit, stride or
+    fuzz budget out of range is a usage error (exit 2), not a traceback
+    from the sampler, a silent serial run or an empty run."""
     from repro.experiments.report import ExperimentReport
+
+    # A command that wrongly runs writes its output here.
+    monkeypatch.chdir(tmp_path)
 
     for name in ("table3", "figure1"):
         monkeypatch.setitem(

@@ -1,62 +1,58 @@
-"""Tests for the utilisation telemetry."""
-
-import pytest
+"""Tests for the utilisation sampler on the observer bus."""
 
 from repro.config import (
     continuous_window_128,
     SchedulingModel,
     SpeculationPolicy,
 )
-from repro.core import Processor, Telemetry
+from repro.core import Processor
+from repro.observe import ObserverBus, StallAccountant, UtilisationSampler
 
 
-def _run(trace, policy=SpeculationPolicy.ORACLE, sample_every=1):
-    telemetry = Telemetry(sample_every=sample_every)
-    config = continuous_window_128(SchedulingModel.NAS, policy)
-    Processor(config, trace, telemetry=telemetry).run()
-    return telemetry
+def _config(policy=SpeculationPolicy.ORACLE):
+    return continuous_window_128(SchedulingModel.NAS, policy)
+
+
+def _run(trace, policy=SpeculationPolicy.ORACLE):
+    config = _config(policy)
+    sampler = UtilisationSampler(config)
+    Processor(config, trace, observer=ObserverBus([sampler])).run()
+    return sampler
 
 
 def test_samples_collected(memcopy_trace):
-    telemetry = _run(memcopy_trace)
-    assert telemetry.cycles_sampled > 0
-    assert 0 < telemetry.mean_occupancy <= 128
-    assert telemetry.max_occupancy <= 128
-    assert 0 <= telemetry.mean_issue <= 8
-    assert 0 <= telemetry.mean_ports <= 4
+    sampler = _run(memcopy_trace)
+    assert sampler.window.samples > 0
+    assert 0 < sampler.window.mean <= 128
+    assert sampler.window.max <= 128
+    assert 0 <= sampler.issued.mean <= 8
+    assert 0 <= sampler.ports.mean <= 4
+
+
+def test_samples_every_simulated_cycle(memcopy_trace):
+    """One sample per simulated cycle; fast-forwarded cycles get none."""
+    config = _config()
+    sampler = UtilisationSampler(config)
+    accountant = StallAccountant(config)
+    Processor(
+        config, memcopy_trace, observer=ObserverBus([sampler, accountant])
+    ).run()
+    assert sampler.window.samples == (
+        accountant.cycles_observed - accountant.skipped_cycles
+    )
 
 
 def test_histograms_cover_samples(memcopy_trace):
-    telemetry = _run(memcopy_trace)
-    assert sum(telemetry.issue_histogram.values()) == (
-        telemetry.cycles_sampled
-    )
-    assert sum(telemetry.port_histogram.values()) == (
-        telemetry.cycles_sampled
-    )
+    sampler = _run(memcopy_trace)
+    for histogram in (sampler.issued, sampler.ports):
+        assert sum(histogram.counts.values()) == sampler.window.samples
 
 
 def test_blocked_machine_has_fuller_window(memcopy_trace):
     """Under NAS/NO the window backs up behind blocked loads."""
     blocked = _run(memcopy_trace, SpeculationPolicy.NO)
     free = _run(memcopy_trace, SpeculationPolicy.ORACLE)
-    assert blocked.mean_occupancy > free.mean_occupancy
-
-
-def test_subsampling(memcopy_trace):
-    full = _run(memcopy_trace, sample_every=1)
-    sparse = _run(memcopy_trace, sample_every=8)
-    assert sparse.cycles_sampled < full.cycles_sampled
-    # Means stay in the same neighbourhood.
-    assert sparse.mean_occupancy == pytest.approx(
-        full.mean_occupancy, rel=0.3
-    )
-
-
-def test_issue_fraction(memcopy_trace):
-    telemetry = _run(memcopy_trace)
-    assert telemetry.issue_fraction_at_least(0) == 1.0
-    assert 0 <= telemetry.issue_fraction_at_least(8) <= 1.0
+    assert blocked.window.mean > free.window.mean
 
 
 def test_render(memcopy_trace):
@@ -65,14 +61,8 @@ def test_render(memcopy_trace):
     assert "issue-width histogram" in text
 
 
-def test_validation():
-    with pytest.raises(ValueError):
-        Telemetry(sample_every=0)
-
-
 def test_empty_telemetry_zeroes():
-    telemetry = Telemetry()
-    assert telemetry.mean_occupancy == 0.0
-    assert telemetry.mean_issue == 0.0
-    assert telemetry.mean_ports == 0.0
-    assert telemetry.issue_fraction_at_least(1) == 0.0
+    sampler = UtilisationSampler(_config())
+    assert sampler.window.mean == 0.0
+    assert sampler.issued.mean == 0.0
+    assert sampler.ports.mean == 0.0

@@ -1,4 +1,4 @@
-"""Tests for the pipeline timeline recorder."""
+"""Tests for the pipeline view: bus-recorded records and ``pipeview``."""
 
 import pytest
 
@@ -7,16 +7,16 @@ from repro.config import (
     SchedulingModel,
     SpeculationPolicy,
 )
-from repro.core import Processor, TimelineRecorder
-from repro.core.timeline import InstructionTimeline
+from repro.core import Processor
+from repro.observe import ObserverBus, PipelineRecorder, pipeview
 
 
-def _record(trace, limit=32, start_seq=0, policy=SpeculationPolicy.NO):
-    recorder = TimelineRecorder(start_seq=start_seq, limit=limit)
+def _record(trace, limit=32, policy=SpeculationPolicy.NO):
+    recorder = PipelineRecorder(limit=limit)
     Processor(
         continuous_window_128(SchedulingModel.NAS, policy),
         trace,
-        timeline=recorder,
+        observer=ObserverBus([recorder]),
     ).run()
     return recorder
 
@@ -28,20 +28,25 @@ def test_records_stage_order(memcopy_trace):
         assert r.dispatch <= r.commit
         if r.issue is not None:
             assert r.dispatch <= r.issue
-        if r.complete is not None:
-            assert r.complete <= r.commit
-        assert r.latency >= 0
+        if r.done is not None:
+            assert r.done <= r.commit
 
 
 def test_limit_respected(memcopy_trace):
     recorder = _record(memcopy_trace, limit=5)
     assert len(recorder.records) == 5
-    assert recorder.full
+    assert recorder.dropped > 0
 
 
 def test_start_seq_filters(memcopy_trace):
-    recorder = _record(memcopy_trace, limit=8, start_seq=100)
-    assert all(r.seq >= 100 for r in recorder.records)
+    """Callers pick the rows by seq; the view draws exactly those."""
+    recorder = _record(memcopy_trace, limit=20_000)
+    rows = [r for r in recorder.records if r.seq >= 100][:8]
+    drawn = [
+        int(line.split()[0]) for line in pipeview(rows).splitlines()[1:]
+    ]
+    assert drawn == [r.seq for r in rows]
+    assert len(drawn) == 8 and min(drawn) >= 100
 
 
 def test_commit_is_in_order(memcopy_trace):
@@ -53,21 +58,23 @@ def test_commit_is_in_order(memcopy_trace):
 
 
 def test_render_contains_stage_marks(memcopy_trace):
-    recorder = _record(memcopy_trace, limit=16)
-    text = recorder.render(max_width=60)
+    text = pipeview(_record(memcopy_trace, limit=16).records, max_width=60)
     assert "cycles" in text
     assert "D" in text and "R" in text
     assert "LOAD" in text and "STORE" in text
+    # A store's C is its write; it draws no M.
+    stores = [line for line in text.splitlines() if " STORE " in line]
+    assert stores and not any("M" in line for line in stores)
 
 
 def test_render_empty():
-    recorder = TimelineRecorder()
-    assert "no instructions" in recorder.render()
+    assert "no instructions" in pipeview([])
 
 
 def test_mean_latency_positive(recurrence_trace):
-    recorder = _record(recurrence_trace)
-    assert recorder.mean_latency() > 0
+    records = _record(recurrence_trace).records
+    residency = sum(r.commit - r.dispatch for r in records) / len(records)
+    assert residency > 0
 
 
 def test_loads_show_memory_stage(memcopy_trace):
@@ -76,17 +83,9 @@ def test_loads_show_memory_stage(memcopy_trace):
     assert loads
     for r in loads:
         assert r.mem_issue is not None
-        assert r.issue <= r.mem_issue <= r.complete
+        assert r.issue <= r.mem_issue <= r.done
 
 
 def test_validation():
     with pytest.raises(ValueError):
-        TimelineRecorder(limit=0)
-
-
-def test_timeline_dataclass_latency():
-    r = InstructionTimeline(
-        seq=0, pc=0, op="IALU", dispatch=10, issue=11, mem_issue=None,
-        complete=12, commit=14,
-    )
-    assert r.latency == 4
+        PipelineRecorder(limit=0)

@@ -1,9 +1,10 @@
 """Attaching an observer must not perturb the golden timing model.
 
-Re-runs golden-parity cells with (a) a bus carrying only a
+Re-runs golden-parity cells with (a) a bus carrying a
 :class:`NullObserverSink` — exercising every hook path including event
-materialisation — and (b) the default stall-accounting observer, and
-asserts the results match the checked-in golden fixture bit for bit.
+materialisation — beside the pipeline recorder and the utilisation
+sampler, and (b) the default stall-accounting observer, and asserts the
+results match the checked-in golden fixture bit for bit.
 """
 
 import json
@@ -11,7 +12,13 @@ import json
 import pytest
 
 from repro.core.processor import Processor
-from repro.observe import NullObserverSink, ObserverBus, default_observer
+from repro.observe import (
+    NullObserverSink,
+    ObserverBus,
+    PipelineRecorder,
+    UtilisationSampler,
+    default_observer,
+)
 from repro.trace.dependences import compute_dependence_info
 from repro.trace.sampling import SamplingPlan, Segment
 from repro.workloads.catalog import get_trace
@@ -54,7 +61,8 @@ _DEFAULT_LABELS = ("NAS/NO", "NAS/NAV", "NAS/ORACLE", "AS/NO")
 def test_null_sink_parity(golden, label):
     benchmark, warm, length = _NULL_BENCHMARK
     config = parity_configs()[label]
-    observer = ObserverBus([NullObserverSink()])
+    sampler = UtilisationSampler(config)
+    observer = ObserverBus([NullObserverSink(), PipelineRecorder(), sampler])
     result, actual = _observed_fields(
         benchmark, warm, length, config, observer
     )
@@ -67,6 +75,8 @@ def test_null_sink_parity(golden, label):
     # The hooks really fired: a non-trivial run emits events.
     assert observer.events_emitted > 0
     assert result.extra["observe"]["events"] == observer.events_emitted
+    assert result.extra["observe"]["pipeline"]["records"] > 0
+    assert sampler.window.samples > 0
 
 
 @pytest.mark.parametrize(

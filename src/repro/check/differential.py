@@ -309,7 +309,7 @@ class DifferentialChecker(RawObserverSink):
                 not waiter.squashed
                 and waiter.issue_cycle is not None
                 and waiter.issue_cycle <= rec.write_cycle
-                for waiter, _ in entry.consumers + entry.waiters
+                for waiter, _ in (*entry.consumers, *entry.waiters)
             )
             if not propagated:
                 return  # Silent re-forward: no consumer saw the value.

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import gc
 import heapq
+import itertools
 from typing import Dict, List, Optional, Tuple
 
 from repro.branch.unit import BranchUnit
@@ -147,12 +148,12 @@ class Processor:
             raise AssertionError(f"unhandled policy {self.policy}")
 
         # Hot-path bindings (immutable for the processor's lifetime).
-        # The latency table is flattened into a plain dict so the issue
-        # loop pays one lookup instead of an override check plus a
-        # table fallback.
-        self._latency_of = {
-            op: config.latencies.latency(op) for op in OpClass
-        }.__getitem__
+        # The latency table is flattened into a tuple indexed by
+        # ``OpClass.index``: one subscript per issued op instead of an
+        # override check plus a table fallback, and no Enum hashing.
+        self._latencies = tuple(
+            config.latencies.latency(op) for op in OpClass
+        )
         self._issue_width = config.window.issue_width
         self._scan_budget = config.window.issue_width * 3
 
@@ -178,10 +179,11 @@ class Processor:
             benchmark=self.trace.name,
             suite=self.trace.suite,
         )
-        # The cycle loop allocates heavily (entries, events) with almost
-        # nothing becoming garbage mid-segment, so generational GC scans
-        # are pure overhead (~10% of wall time). Pause collection for
-        # the simulation; the final collection reclaims entry cycles.
+        # The cycle loop allocates heavily (entries, events) and leaves
+        # no cyclic garbage: entries drop their links to each other at
+        # commit and squash, so reference counting frees everything.
+        # Young-generation scans during a run would find nothing to
+        # collect; pause collection for the simulation (docs/PERF.md).
         was_enabled = gc.isenabled()
         gc.disable()
         try:
@@ -266,7 +268,8 @@ class Processor:
             if self.as_mode else None
         )
         self._events: List = []
-        self._event_serial = 0
+        #: Tie-breaking serials of events scheduled for the same cycle.
+        self._next_serial = itertools.count(1).__next__
         #: Earliest future cycle hinted by a blocked memory op (min
         #: tracking replaces an append-per-blocked-entry hint list).
         self._hint: Optional[int] = None
@@ -279,9 +282,15 @@ class Processor:
         )
 
         fetch = self.fetch
-        window = self.window
+        buffer = fetch.buffer
+        entries = self.window._entries
+        capacity = self.window.size
         events = self._events
-        advance_clock = self._advance_clock
+        ready_heap = self.ready_pool._heap
+        load_pool = self.load_pool
+        write_pool = self.store_write_pool
+        as_mode = self.as_mode
+        next_cycle = self._next_cycle
         process_events = self._process_events
         commit = self._commit
         begin_cycle = self.funits.begin_cycle
@@ -293,20 +302,42 @@ class Processor:
 
         if observer is not None:
             observer.begin_segment(self)
-        while True:
-            if fetch.done and window.empty and not events:
-                break
-            advance_clock()
-            process_events()
-            commit()
-            # _issue, unrolled: one call layer per cycle matters here.
-            begin_cycle(self.cycle)
-            issue_memory()
-            issue_exec()
-            dispatch()
-            if fetch_tick(self.cycle):
+        cycle = self.cycle
+        # A phase is entered only when it has work: each test below is
+        # the early exit the phase would otherwise take itself. The FU
+        # counters are reset for the issue phases and for observers
+        # (the utilisation sampler reads them every cycle).
+        while entries or events or not fetch.done:
+            if self._progress or ready_heap:
+                self._progress = False
+                cycle += 1
+            else:
+                cycle = next_cycle()
+            self.cycle = cycle
+            if events and events[0][0] <= cycle:
+                process_events()
+            if entries:
+                head = entries[0]
+                done = (
+                    head.write_cycle if head.is_store
+                    else head.complete_cycle
+                )
+                if done is not None and done <= cycle:
+                    commit()
+            memory_work = bool(load_pool) or (as_mode and bool(write_pool))
+            if memory_work or ready_heap or observer is not None:
+                begin_cycle(cycle)
+            if memory_work:
+                issue_memory()
+            if ready_heap:
+                issue_exec()
+            if buffer and buffer[0][1] <= cycle and (
+                len(entries) < capacity
+            ):
+                dispatch()
+            if fetch_tick(cycle):
                 self._progress = True
-            if self.cycle >= self._next_flush:
+            if cycle >= self._next_flush:
                 maybe_flush()
             if observer is not None:
                 observer.end_cycle(self)
@@ -323,11 +354,10 @@ class Processor:
 
     # -- clock -------------------------------------------------------------
 
-    def _advance_clock(self) -> None:
-        if self._progress or self.ready_pool:
-            self._progress = False
-            self.cycle += 1
-            return
+    def _next_cycle(self) -> int:
+        """The cycle after an idle one: fast-forward to the earliest of
+        a blocked memory op's hint, the next event, the fetch buffer's
+        next dispatch and fetch's restart."""
         best = self._hint
         self._hint = None
         if self._events:
@@ -354,20 +384,17 @@ class Processor:
                 f"writes={len(self.store_write_pool)})"
             )
         nxt_cycle = self.cycle + 1
-        self.cycle = best if best > nxt_cycle else nxt_cycle
+        return best if best > nxt_cycle else nxt_cycle
 
     def _schedule(self, cycle: int, kind: int, entry: Entry) -> None:
-        self._event_serial += 1
         heapq.heappush(
-            self._events, (cycle, self._event_serial, kind, entry)
+            self._events, (cycle, self._next_serial(), kind, entry)
         )
 
     # -- events -------------------------------------------------------------
 
     def _process_events(self) -> None:
         events = self._events
-        if not events or events[0][0] > self.cycle:
-            return
         cycle = self.cycle
         pop = heapq.heappop
         ready_push = self.ready_pool.push
@@ -407,8 +434,11 @@ class Processor:
                     if done > waiter.addr_ready:
                         waiter.addr_ready = done
                 maybe_ready(waiter)
-            entry.consumers.extend(waiters)
-            entry.waiters = []
+            if entry.consumers:
+                entry.consumers.extend(waiters)
+            else:
+                entry.consumers = waiters
+            entry.waiters = ()
         if entry.is_branch:
             self.fetch.resume_after_branch(entry.seq, done)
         self._progress = True
@@ -450,7 +480,7 @@ class Processor:
         paper's condition (2) for signalling an AS/NAV miss-speculation);
         the consumers are then held until the corrected value arrives.
         """
-        consumers = load.consumers + load.waiters
+        consumers = (*load.consumers, *load.waiters)
         propagated = False
         for waiter, _ in consumers:
             if waiter.squashed:
@@ -548,7 +578,7 @@ class Processor:
         """
         stats = self.stats
         stats.misspeculations += 1
-        latencies = self.config.latencies
+        latencies = self._latencies
         new_complete: Dict[int, int] = {}
         reexecuted = 0
 
@@ -574,7 +604,7 @@ class Processor:
                     entry.addr_ready = max(entry.addr_ready, bump)
                     entry.data_ready = max(entry.data_ready, bump)
                 continue
-            latency = latencies.latency(entry.inst.op)
+            latency = latencies[entry.inst.op.index]
             if entry.is_load:
                 latency += 2  # agen + re-access (forward/hit path)
             corrected = bump + latency
@@ -600,11 +630,9 @@ class Processor:
 
     def _commit(self) -> None:
         window = self.window
-        # The deque is read directly: this loop peeks the head every
-        # cycle and the ``head()`` indirection is measurable.
+        # The deque is read directly: the ``head()`` indirection is
+        # measurable.
         entries = window._entries
-        if not entries:
-            return
         stats = self.stats
         budget = self._issue_width
         cycle = self.cycle
@@ -622,6 +650,9 @@ class Processor:
             committed += 1
             if observer is not None:
                 observer.emit_commit(head, cycle)
+            # Nothing reads a retired entry's links; dropping them
+            # breaks its reference cycles with the entries it linked.
+            head.producers = head.consumers = ()
             if head.is_load:
                 stats.committed_loads += 1
                 if head.speculative:
@@ -658,8 +689,6 @@ class Processor:
         # instruction (plus a None-returning one every cycle) — the
         # fetch buffer is walked directly instead.
         occupancy = len(window._entries)
-        if occupancy >= capacity:
-            return
         buffer = self.fetch.buffer
         maybe_ready = self._maybe_ready
         budget = self._issue_width
@@ -764,13 +793,15 @@ class Processor:
     def _issue_exec(self) -> None:
         funits = self.funits
         pool = self.ready_pool
-        if not pool:
-            return
         cycle = self.cycle
         as_mode = self.as_mode
         pop = pool.pop
         can_issue = funits.can_issue_unit
         take_issue = funits.take_issue_unit
+        latencies = self._latencies
+        events = self._events
+        next_serial = self._next_serial
+        observer = self.observer
         deferred: List[Entry] = []
         progress = False
         scans = self._scan_budget
@@ -822,8 +853,16 @@ class Processor:
                 take_issue(entry.uses_fp_unit)
                 self._do_issue_load_agen(entry)
             else:
+                # ALU op: completes after its class's latency.
                 take_issue(entry.uses_fp_unit)
-                self._do_issue_alu(entry)
+                entry.issue_cycle = cycle
+                done = cycle + latencies[entry.inst.op.index]
+                entry.complete_cycle = done
+                heapq.heappush(
+                    events, (done, next_serial(), _EV_COMPLETE, entry)
+                )
+                if observer is not None:
+                    observer.emit_issue(entry, cycle)
             progress = True
         if deferred:
             push = pool.push
@@ -832,14 +871,6 @@ class Processor:
             progress = True
         if progress:
             self._progress = True
-
-    def _do_issue_alu(self, entry: Entry) -> None:
-        entry.issue_cycle = self.cycle
-        latency = self._latency_of(entry.inst.op)
-        entry.complete_cycle = self.cycle + latency
-        self._schedule(entry.complete_cycle, _EV_COMPLETE, entry)
-        if self.observer is not None:
-            self.observer.emit_issue(entry, self.cycle)
 
     def _do_issue_load_agen(self, entry: Entry) -> None:
         entry.issue_cycle = self.cycle

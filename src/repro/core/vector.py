@@ -487,7 +487,7 @@ class VectorProcessor:
         # Event-horizon elision: when a cycle provably schedules nothing,
         # the clock jumps straight to the next possible event instead of
         # walking one cycle at a time. The jump target is the same value
-        # the reference core's ``_advance_clock`` computes, so the
+        # the reference core's ``_next_cycle`` computes, so the
         # simulated trajectory (and every counter) is identical either
         # way; ``REPRO_VECTOR_ELIDE=0`` forces the single-step walk so CI
         # can exercise both paths.
@@ -867,7 +867,7 @@ class VectorProcessor:
             # the earliest standing wake source (scan wake, events,
             # commit head, fetch buffer head, fetch resume). Unlike the
             # reference core — which walks one probe cycle after every
-            # active one before its ``_advance_clock`` can jump — this
+            # active one before its ``_next_cycle`` can jump — this
             # elides the probe too when nothing can interact there; the
             # landing cycle is the same either way, so the simulated
             # trajectory is identical (macro-stepping, see docs/PERF.md).

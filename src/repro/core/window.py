@@ -9,7 +9,7 @@ window from the youngest end.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.isa.instruction import DynInst
 from repro.isa.opcodes import OpClass
@@ -17,7 +17,15 @@ from repro.isa.registers import REG_ZERO
 
 
 class Entry:
-    """One in-flight dynamic instruction."""
+    """One in-flight dynamic instruction.
+
+    ``producers``, ``waiters`` and ``consumers`` link entries to each
+    other both ways. They start as one shared empty tuple; the first
+    link makes a list. They are readable only while the entry is in
+    flight: commit drops ``producers`` and ``consumers`` (after the
+    commit is observed) and a squash drops all three, so a finished run
+    leaves no reference cycles for the garbage collector.
+    """
 
     __slots__ = (
         "inst", "seq", "dispatch_cycle",
@@ -65,13 +73,14 @@ class Entry:
         self.squashed = False
         self.in_ready_pool = False
         self.in_mem_pool = False
-        self.waiters: List[Tuple["Entry", bool]] = []  # (entry, is_data)
+        #: (entry, is_data) of consumers waiting on this entry.
+        self.waiters: Sequence[Tuple["Entry", bool]] = ()
         #: In-flight producers this entry depended on at dispatch
         #: (used by selective-invalidation recovery).
-        self.producers: List["Entry"] = []
+        self.producers: Sequence["Entry"] = ()
         #: Consumers already woken by this entry's completion (kept for
         #: the AS/NAV value-propagation test).
-        self.consumers: List[Tuple["Entry", bool]] = []
+        self.consumers: Sequence[Tuple["Entry", bool]] = ()
         self.dep_store_seq: Optional[int] = None
         self.stale_equal = True
         self.speculative = False
@@ -154,7 +163,10 @@ class Window:
             producer = last_writer.get(src)
             if producer is None or producer.squashed:
                 continue
-            entry.producers.append(producer)
+            if entry.producers:
+                entry.producers.append(producer)
+            else:
+                entry.producers = [producer]
             done = producer.complete_cycle
             if done is not None:
                 if is_data:
@@ -163,7 +175,10 @@ class Window:
                 elif done > entry.addr_ready:
                     entry.addr_ready = done
             else:
-                producer.waiters.append((entry, is_data))
+                if producer.waiters:
+                    producer.waiters.append((entry, is_data))
+                else:
+                    producer.waiters = [(entry, is_data)]
                 if is_data:
                     entry.data_pending += 1
                 else:
@@ -188,10 +203,11 @@ class Window:
     def squash_from(self, seq: int) -> List[Entry]:
         """Invalidate every entry with ``entry.seq >= seq``.
 
-        Returns the squashed entries (youngest first). Only rename-map
-        slots owned by a squashed writer are repaired (by scanning the
-        survivors youngest-first for a replacement); a squash whose
-        victims wrote no register leaves the map untouched.
+        Returns the squashed entries (youngest first), their links to
+        other entries dropped. Only rename-map slots owned by a
+        squashed writer are repaired (by scanning the survivors
+        youngest-first for a replacement); a squash whose victims wrote
+        no register leaves the map untouched.
         """
         squashed: List[Entry] = []
         entries = self._entries
@@ -201,6 +217,7 @@ class Window:
         while entries and entries[-1].seq >= seq:
             entry = entries.pop()
             entry.squashed = True
+            entry.producers = entry.waiters = entry.consumers = ()
             del by_seq[entry.seq]
             squashed.append(entry)
             dest = entry.inst.dest

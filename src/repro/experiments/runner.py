@@ -65,6 +65,18 @@ class ExperimentSettings:
     paper_sampling: bool = False
     observation: int = 2_000
 
+    def __post_init__(self) -> None:
+        for name, least in (
+            ("timing_instructions", 1),
+            ("warmup_instructions", 0),
+            ("observation", 1),
+        ):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(
+                    f"{name} must be at least {least}, got {value}"
+                )
+
     @property
     def trace_length(self) -> int:
         return self.timing_instructions + self.warmup_instructions

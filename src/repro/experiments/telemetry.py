@@ -125,7 +125,10 @@ def summarize_telemetry(events: Iterable[dict]) -> dict:
 
     Returns a flat dict: shard counts by outcome, aggregated cache
     counters (preferring ``matrix_finish`` totals, falling back to
-    summing ``shard_finish`` events), and shard wall-time statistics.
+    summing ``shard_finish`` events, plus every ``artifact_finish``),
+    and shard wall-time statistics. The artifact counters never overlap
+    a pool's: after ``--parallel`` simulates the cells, the artifacts
+    only hit the in-process memo.
     """
     events = list(events)
     by_name = {}
@@ -141,7 +144,8 @@ def summarize_telemetry(events: Iterable[dict]) -> dict:
     ]
     finishes = by_name.get("matrix_finish", ())
     counters = {"memory_hits": 0, "store_hits": 0, "simulations": 0}
-    source = finishes if finishes else by_name.get("shard_finish", ())
+    source = list(finishes or by_name.get("shard_finish", ()))
+    source += by_name.get("artifact_finish", ())
     for event in source:
         for key in counters:
             counters[key] += int(event.get(key, 0))

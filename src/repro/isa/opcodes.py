@@ -62,11 +62,14 @@ FP_CLASSES = frozenset(
 # Precomputed per-member flags: hot paths read ``op.mem_class`` etc. as
 # a plain attribute instead of hashing the member into a frozenset
 # (Enum.__hash__ is a Python-level call and shows up in profiles).
-for _op in OpClass:
+# ``op.index`` is the member's position, for per-class tables kept as
+# tuples instead of dicts keyed by the member.
+for _index, _op in enumerate(OpClass):
+    _op.index = _index
     _op.mem_class = _op in MEM_CLASSES
     _op.branch_class = _op in BRANCH_CLASSES
     _op.fp_class = _op in FP_CLASSES
-del _op
+del _index, _op
 
 
 def is_load(op: OpClass) -> bool:

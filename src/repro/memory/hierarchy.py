@@ -21,15 +21,19 @@ class MemoryHierarchy:
             config.main_memory, block_bytes=config.l2.block_bytes
         )
         self.l2 = SetAssocCache(config.l2, self.main_memory.access)
-        self.dcache = SetAssocCache(config.dcache, self._l2_access)
-        self.icache = SetAssocCache(config.icache, self._l2_access)
         # L1 block transfer out of L2: 1 cycle per 4-word burst.
         l1_words = config.dcache.block_bytes // 4
-        self._l2_transfer = (l1_words + 3) // 4
+        transfer = (l1_words + 3) // 4
+        l2_access = self.l2.access
 
-    def _l2_access(self, addr: int, cycle: int, write: bool) -> int:
-        result = self.l2.access(addr, cycle, write)
-        return result.complete_cycle + self._l2_transfer
+        # A closure, not a bound method: the L1s then hold no reference
+        # back to this hierarchy, so a finished machine is freed by
+        # reference counting instead of waiting for the cycle collector.
+        def l2_fill(addr: int, cycle: int, write: bool) -> int:
+            return l2_access(addr, cycle, write).complete_cycle + transfer
+
+        self.dcache = SetAssocCache(config.dcache, l2_fill)
+        self.icache = SetAssocCache(config.icache, l2_fill)
 
     # -- public access points ------------------------------------------------
 

@@ -1,5 +1,7 @@
 """Tests for the experiment runner (caching, warm-up plan)."""
 
+import pytest
+
 from repro.config import (
     continuous_window_128,
     split_window,
@@ -20,6 +22,16 @@ _SETTINGS = ExperimentSettings(
 
 def setup_function(_):
     clear_results()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("timing_instructions", 0),
+    ("warmup_instructions", -1),
+    ("observation", 0),
+], ids=["timing_instructions", "warmup_instructions", "observation"])
+def test_settings_reject_out_of_range_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        ExperimentSettings(**{field: value})
 
 
 def test_run_benchmark_commits_timed_instructions():

@@ -114,6 +114,29 @@ def test_summarize_falls_back_to_shard_sums():
     assert summary["wall_total"] == pytest.approx(4.0)
 
 
+def test_summarize_counts_a_serial_run_from_its_artifacts():
+    # A serial CLI run emits no matrix or shard events, only these.
+    events = [
+        {"event": "artifact_start", "artifact": "table1", "ts": 0},
+        {
+            "event": "artifact_finish", "artifact": "table1", "ts": 1,
+            "wall": 0.5, "memory_hits": 0, "store_hits": 0,
+            "simulations": 0,
+        },
+        {"event": "artifact_start", "artifact": "figure1", "ts": 1},
+        {
+            "event": "artifact_finish", "artifact": "figure1", "ts": 2,
+            "wall": 1.0, "memory_hits": 3, "store_hits": 1,
+            "simulations": 72,
+        },
+    ]
+    summary = summarize_telemetry(events)
+    assert summary["simulations"] == 72
+    assert summary["memory_hits"] == 3
+    assert summary["store_hits"] == 1
+    assert "72 simulated" in render_summary(summary)
+
+
 def test_summarize_empty_stream():
     summary = summarize_telemetry([])
     assert summary["events"] == 0

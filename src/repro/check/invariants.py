@@ -30,6 +30,7 @@ queries (the real ones bump observability counters).
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional
 
 from repro.config.processor import SchedulingModel, SpeculationPolicy
@@ -78,7 +79,9 @@ class InvariantChecker(RawObserverSink):
     # -- wiring ------------------------------------------------------------
 
     def on_segment(self, processor) -> None:
-        self._processor = processor
+        # Weak: the processor's bus holds this checker, so a strong
+        # reference would leave the whole machine to the collector.
+        self._processor = weakref.ref(processor)
         memdep = processor.config.memdep
         self._as_mode = memdep.scheduling is SchedulingModel.AS
         self._policy = memdep.policy
@@ -122,9 +125,9 @@ class InvariantChecker(RawObserverSink):
     def raw_mem_issue(self, entry, cycle, forwarded) -> None:
         if not entry.is_load:
             return
-        processor = self._processor
-        if processor is None:
+        if self._processor is None:
             return
+        processor = self._processor()
         self.issues_checked += 1
         report = self.report
         seq = entry.seq

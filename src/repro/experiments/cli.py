@@ -171,8 +171,10 @@ def _dispatch(argv=None) -> int:
     )
     parser.add_argument(
         "--parallel", type=int, metavar="N", default=0,
-        help="simulate the cells of the requested artifacts with N "
-             "worker processes before rendering them",
+        help="with N >= 2, simulate the cells of the requested "
+             "artifacts with N worker processes before rendering "
+             "them; 0 and 1 simulate each cell in this process at "
+             "its first request",
     )
     parser.add_argument(
         "--store", metavar="DIR",
@@ -236,12 +238,13 @@ def _dispatch(argv=None) -> int:
 
     # A serial run stays lazy: planning simulates nothing. It marks the
     # cells some artifact observes, so each is simulated once, observed,
-    # at its first request. --parallel simulates the whole plan first.
+    # at its first request. --parallel N >= 2 simulates the whole plan
+    # first.
     cells = plan_cells(
         (CELLS[name]() for name in names if name in CELLS), settings
     )
     with TelemetryWriter(args.telemetry) as writer, observe_planned(cells):
-        if args.parallel:
+        if args.parallel >= 2:
             _simulate(cells, settings, args.parallel, writer)
 
         for name in names:

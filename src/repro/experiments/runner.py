@@ -42,7 +42,6 @@ from repro.workloads.catalog import (
     get_compiled,
     get_dependence_info,
     get_trace,
-    trace_stats,
 )
 from repro.workloads.spec95 import profile_for
 
@@ -387,52 +386,17 @@ def run_matrix(
 ) -> Dict[str, Dict[str, SimResult]]:
     """Results for every (benchmark, config) pair.
 
-    Returns ``{config_label: {benchmark: SimResult}}``. *telemetry*
-    (an :class:`~repro.experiments.telemetry.TelemetryWriter` or a
-    path) gets ``matrix_start``/``matrix_finish`` events including the
-    cache hit/miss counters accumulated over the matrix and the
-    backend the sweep ran on. *backend* is forwarded to every
+    Returns ``{config_label: {benchmark: SimResult}}``. This is the
+    one-worker case of
+    :func:`repro.experiments.parallel.run_matrix_parallel`: the cells
+    run in this process, and *telemetry* (an
+    :class:`~repro.experiments.telemetry.TelemetryWriter` or a path)
+    gets the same event stream. *backend* is forwarded to every
     :func:`run_benchmark` cell.
     """
-    import time
+    from repro.experiments.parallel import run_matrix_parallel
 
-    from repro.experiments.telemetry import as_writer
-
-    benchmarks = list(benchmarks)
-    writer, owned = as_writer(telemetry)
-    before = cache_stats()
-    traces_before = trace_stats()
-    started = time.perf_counter()
-    writer.emit(
-        "matrix_start",
-        mode="serial",
-        backend=resolve_backend(backend),
-        benchmarks=len(benchmarks),
-        configs=len(configs),
-        points=len(benchmarks) * len(configs),
+    return run_matrix_parallel(
+        benchmarks, configs, settings, workers=1,
+        telemetry=telemetry, backend=backend,
     )
-    try:
-        out: Dict[str, Dict[str, SimResult]] = {}
-        for label, config in configs.items():
-            out[label] = {
-                name: run_benchmark(name, config, settings, backend)
-                for name in benchmarks
-            }
-    finally:
-        spent = cache_stats().delta(before)
-        traces = trace_stats().delta(traces_before)
-        writer.emit(
-            "matrix_finish",
-            mode="serial",
-            wall=time.perf_counter() - started,
-            memory_hits=spent.memory_hits,
-            store_hits=spent.store_hits,
-            simulations=spent.simulations,
-            traces_generated=traces.generated,
-            trace_store_hits=traces.store_hits,
-            traces_inherited=traces.inherited,
-            trace_wall=traces.trace_wall,
-        )
-        if owned:
-            writer.close()
-    return out

@@ -194,7 +194,9 @@ class ResultStore:
             )
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(record, handle)
+                    # Not json.dump: it always takes the pure-Python
+                    # encoder, which leaves cyclic garbage per call.
+                    handle.write(json.dumps(record))
                 os.replace(tmp_path, path)
             except BaseException:
                 try:

@@ -1,30 +1,32 @@
 """Structured JSONL telemetry for experiment runs.
 
-Every long-running harness entry point (the parallel matrix runner,
-``run_matrix``, the CLI artifact loop) can stream one JSON object per
-line into a telemetry file. Each event carries at least:
+Every long-running harness entry point (the matrix runner of
+:mod:`repro.experiments.parallel`, which ``run_matrix`` also uses, and
+the CLI artifact loop) can stream one JSON object per line into a
+telemetry file. Each event carries at least:
 
 ``event``
-    The event name, e.g. ``shard_start``, ``shard_finish``,
-    ``shard_retry``, ``shard_timeout``, ``shard_failed``,
-    ``serial_fallback``, ``matrix_start``, ``matrix_finish``
-    (``matrix_abort`` when a run is interrupted), ``artifact_start``,
-    ``artifact_finish``.
+    The event name: ``matrix_start``, ``trace_precompile``,
+    ``shard_start``, ``shard_finish``, ``matrix_finish``
+    (``matrix_abort`` when a cell raises or the run is interrupted),
+    ``artifact_start``, ``artifact_finish``.
 ``ts``
     Unix timestamp (``time.time()``) when the event was emitted.
 
-Shard events add ``benchmark``, ``attempt`` and — on ``shard_finish``
-— ``wall`` (seconds), ``worker`` (pid), the cache counters
-``memory_hits`` / ``store_hits`` / ``simulations``, and the trace
-acquisition split for that shard: ``trace_source`` (``generated`` /
-``store_hit`` / ``inherited`` / ``memory`` / null) and ``trace_wall``
-(seconds spent producing or loading traces and dependence analyses).
-``matrix_finish`` carries the same counters aggregated over the whole
-matrix, which is how "a warm re-run performed zero re-simulations" is
-verified mechanically. The parallel runner additionally emits one
-``trace_precompile`` event before forking, counting how many
-benchmark traces came from the in-process memo, the persistent trace
-store, or fresh generation.
+Shard events add ``benchmark`` and ``configs`` (the config labels of
+the shard) and — on ``shard_finish`` — ``wall`` (seconds), ``worker``
+(pid), the cache counters ``memory_hits`` / ``store_hits`` /
+``simulations``, and the trace acquisition split for that shard:
+``trace_source`` (``generated`` / ``store_hit`` / ``inherited`` /
+``memory`` / null) and ``trace_wall`` (seconds spent producing or
+loading traces and dependence analyses). ``matrix_finish`` carries the
+same counters aggregated over the whole matrix, which is how "a warm
+re-run performed zero re-simulations" is verified mechanically;
+``matrix_abort`` carries them so far, with ``reason`` (the exception
+type) and ``error`` (its message, which names a failing cell). The
+pooled runner additionally emits one ``trace_precompile`` event before
+forking, counting how many benchmark traces came from the in-process
+memo, the persistent trace store, or fresh generation.
 
 The format is append-only and line-oriented so a crashed run leaves a
 readable prefix; :func:`read_telemetry` skips any torn final line.
@@ -123,8 +125,8 @@ def read_telemetry(path: Union[str, os.PathLike]) -> List[dict]:
 def summarize_telemetry(events: Iterable[dict]) -> dict:
     """Aggregate counters over a telemetry event stream.
 
-    Returns a flat dict: shard counts by outcome, aggregated cache
-    counters (preferring ``matrix_finish`` totals, falling back to
+    Returns a flat dict: event, shard and abort counts, aggregated
+    cache counters (preferring ``matrix_finish`` totals, falling back to
     summing ``shard_finish`` events, plus every ``artifact_finish``),
     and shard wall-time statistics. The artifact counters never overlap
     a pool's: after ``--parallel`` simulates the cells, the artifacts
@@ -172,10 +174,6 @@ def summarize_telemetry(events: Iterable[dict]) -> dict:
         "matrix_runs": len(finishes),
         "shards_started": _count("shard_start"),
         "shards_finished": _count("shard_finish"),
-        "shard_retries": _count("shard_retry"),
-        "shard_timeouts": _count("shard_timeout"),
-        "shards_failed": _count("shard_failed"),
-        "serial_fallbacks": _count("serial_fallback"),
         "aborts": _count("matrix_abort"),
         "cache_hit_rate": (cached / total) if total else 0.0,
         "wall_total": sum(walls),
@@ -198,13 +196,7 @@ def render_summary(summary: dict) -> str:
             f"shards             {summary['shards_finished']} finished / "
             f"{summary['shards_started']} started"
         ),
-        (
-            f"faults             {summary['shard_retries']} retries, "
-            f"{summary['shard_timeouts']} timeouts, "
-            f"{summary['shards_failed']} failed, "
-            f"{summary['serial_fallbacks']} serial fallbacks, "
-            f"{summary['aborts']} aborts"
-        ),
+        f"faults             {summary['aborts']} aborts",
         (
             f"cache              {summary['memory_hits']} memory + "
             f"{summary['store_hits']} store hits, "

@@ -344,12 +344,10 @@ def precompile(
     found in the persistent store, are re-flagged as precompiled;
     missing ones are generated (and persisted when a store is active).
 
-    Returns ``{name: "memo" | "store" | "generated" | "error"}``
-    describing where each series came from. A benchmark whose
-    generation raises (e.g. a kernel that does not fit the requested
-    budget) is recorded as ``"error"`` and skipped — its shard then
-    fails (or raises) on its own, preserving the runner's per-shard
-    fault semantics instead of killing the whole matrix pre-fork.
+    Returns ``{name: "memo" | "store" | "generated"}`` describing
+    where each series came from. A generation that raises (e.g. a
+    kernel that does not fit the requested budget) propagates, so the
+    run stops before the fork.
     """
     out: Dict[str, str] = {}
     started = perf_counter()
@@ -375,11 +373,7 @@ def precompile(
             out[name] = "store"
             _trace_stats.store_hits += 1
             continue
-        try:
-            trace, kind = _generate(canonical, length, seed)
-        except Exception:
-            out[name] = "error"
-            continue
+        trace, kind = _generate(canonical, length, seed)
         _trace_stats.generated += 1
         compiled = _compile_with_dependences(trace, kind, length)
         if store is not None:

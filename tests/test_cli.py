@@ -146,14 +146,14 @@ def test_status_subcommand(capsys, tmp_path):
 
     tele = tmp_path / "run.jsonl"
     with TelemetryWriter(tele) as writer:
-        writer.emit("shard_start", benchmark="x", attempt=1)
+        writer.emit("shard_start", benchmark="x", configs=["NO"])
         writer.emit(
-            "shard_finish", benchmark="x", attempt=1, wall=1.0,
+            "shard_finish", benchmark="x", configs=["NO"], wall=1.0,
             worker=1, memory_hits=0, store_hits=2, simulations=2,
         )
         writer.emit(
             "matrix_finish", wall=1.2, memory_hits=0, store_hits=2,
-            simulations=2, shards_ok=1, shards_failed=0, failed=[],
+            simulations=2,
         )
 
     rc = cli.main(["status", str(tele)])
@@ -309,26 +309,29 @@ def test_all_simulates_each_distinct_cell_once(serial_all):
 
 
 def test_plan_is_lazy_and_observes_at_the_first_request(tmp_path):
-    """Planning simulates nothing; ``figure1``'s cells, which ``stalls``
-    observes later, are simulated observed when ``figure1`` asks."""
+    """Planning simulates nothing, with or without ``--parallel 1``;
+    ``figure1``'s cells, which ``stalls`` observes later, are simulated
+    observed when ``figure1`` asks."""
     from repro.experiments.runner import cache_stats
 
-    at_start = []
     render = cli.ARTIFACTS["figure1"]
+    for extra in ([], ["--parallel", "1"]):
+        clear_results()
+        at_start = []
 
-    def first(settings):
-        at_start.append(cache_stats().simulations)
-        return render(settings)
+        def first(settings):
+            at_start.append(cache_stats().simulations)
+            return render(settings)
 
-    telemetry = tmp_path / "run.jsonl"
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setitem(cli.ARTIFACTS, "figure1", first)
-        cli.main(["figure1", "stalls", *_SMALL,
-                  "--telemetry", str(telemetry)])
-    assert at_start == [0]
-    # figure1: 4 designs x 18 benchmarks. stalls: 6 x 18, of which
-    # figure1 already ran w64/w128 NO and ORACLE observed.
-    assert _finished(telemetry) == {"figure1": 72, "stalls": 36}
+        telemetry = tmp_path / f"run{len(extra)}.jsonl"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(cli.ARTIFACTS, "figure1", first)
+            cli.main(["figure1", "stalls", *_SMALL, *extra,
+                      "--telemetry", str(telemetry)])
+        assert at_start == [0], extra
+        # figure1: 4 designs x 18 benchmarks. stalls: 6 x 18, of which
+        # figure1 already ran w64/w128 NO and ORACLE observed.
+        assert _finished(telemetry) == {"figure1": 72, "stalls": 36}, extra
 
 
 def test_parallel_all_renders_without_simulating(serial_all, tmp_path):
@@ -343,3 +346,22 @@ def test_parallel_all_renders_without_simulating(serial_all, tmp_path):
     for path in sorted(serial.iterdir()):
         assert (tmp_path / "json" / path.name).read_bytes() == \
             path.read_bytes(), path.name
+
+
+def test_parallel_all_fails_on_a_failing_cell(tmp_path, monkeypatch):
+    """A cell that raises in the pool stops the run before any
+    artifact starts, with an error naming the cell."""
+    from repro.experiments.telemetry import read_telemetry
+    from tests.test_experiments_parallel import plant_failing_cell
+
+    declared = cli.CELLS["figure1"]()
+    plant_failing_cell(monkeypatch, "107.mgrid", declared.configs["w64 NO"])
+    telemetry = tmp_path / "run.jsonl"
+    with pytest.raises(
+        RuntimeError, match=r"cell 107\.mgrid / w64 NAS/NO #\d+: ValueError"
+    ):
+        cli.main(["figure1", *_SMALL, "--parallel", "2",
+                  "--telemetry", str(telemetry)])
+    events = [event["event"] for event in read_telemetry(telemetry)]
+    assert "artifact_start" not in events
+    assert events[-1] == "matrix_abort"

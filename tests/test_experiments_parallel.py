@@ -1,7 +1,6 @@
-"""Tests for the multiprocess runner (including fault injection)."""
+"""Tests for the multiprocess runner, including a failing cell."""
 
-import os
-import time
+import multiprocessing
 
 import pytest
 
@@ -10,11 +9,8 @@ from repro.config import (
     SchedulingModel,
     SpeculationPolicy,
 )
-from repro.experiments import parallel as parallel_mod
-from repro.experiments.parallel import (
-    _run_benchmark_shard,
-    run_matrix_parallel,
-)
+from repro.experiments import runner
+from repro.experiments.parallel import run_matrix_parallel
 from repro.experiments.runner import (
     ExperimentSettings,
     clear_results,
@@ -40,43 +36,20 @@ _CONFIGS = {
 }
 _BENCHES = ("132.ijpeg", "107.mgrid")
 
-#: The unpatched shard runner, for fault-injecting wrappers below.
-_REAL_SHARD = _run_benchmark_shard
 
-#: Env var naming a sentinel file: fault wrappers misbehave only while
-#: the sentinel does not exist, so the first attempt fails and the
-#: retry succeeds. The env var (and the fork start method) carry both
-#: the patch and the sentinel path into pool workers.
-_SENTINEL_VAR = "REPRO_TEST_FAULT_SENTINEL"
+def plant_failing_cell(monkeypatch, benchmark, config):
+    """Make ``runner.run_benchmark`` raise ``ValueError("planted")``
+    for the one cell (*benchmark*, *config*), observed or not. The fork
+    start method carries the patch into pool workers."""
+    real = runner.run_benchmark
+    key = runner._config_key(config)
 
+    def planted(name, cell_config, *args, **kwargs):
+        if name == benchmark and runner._config_key(cell_config) == key:
+            raise ValueError("planted")
+        return real(name, cell_config, *args, **kwargs)
 
-def _crash_once_shard(args):
-    """Raises on the first attempt at 107.mgrid, then behaves."""
-    name = args[0]
-    sentinel = os.environ[_SENTINEL_VAR]
-    if name == "107.mgrid" and not os.path.exists(sentinel):
-        with open(sentinel, "w"):
-            pass
-        raise RuntimeError("injected worker crash")
-    return _REAL_SHARD(args)
-
-
-def _hang_once_shard(args):
-    """Hangs on the first attempt at 107.mgrid, then behaves."""
-    name = args[0]
-    sentinel = os.environ[_SENTINEL_VAR]
-    if name == "107.mgrid" and not os.path.exists(sentinel):
-        with open(sentinel, "w"):
-            pass
-        time.sleep(60.0)
-    return _REAL_SHARD(args)
-
-
-def _always_crash_shard(args):
-    """107.mgrid never completes; other shards behave."""
-    if args[0] == "107.mgrid":
-        raise RuntimeError("injected permanent crash")
-    return _REAL_SHARD(args)
+    monkeypatch.setattr(runner, "run_benchmark", planted)
 
 
 def setup_function(_):
@@ -132,116 +105,55 @@ def test_telemetry_stream_for_clean_run(tmp_path):
     assert names[-1] == "matrix_finish"
     summary = summarize_telemetry(events)
     assert summary["shards_finished"] == len(_BENCHES)
-    assert summary["shards_failed"] == 0
+    assert summary["aborts"] == 0
     # Cold run: every point was actually simulated.
     assert summary["simulations"] == len(_BENCHES) * len(_CONFIGS)
     finish = [e for e in events if e["event"] == "shard_finish"]
     assert all("worker" in e and "wall" in e for e in finish)
 
 
-def test_worker_crash_is_retried(tmp_path, monkeypatch):
-    monkeypatch.setenv(_SENTINEL_VAR, str(tmp_path / "crashed"))
-    monkeypatch.setattr(
-        parallel_mod, "_run_benchmark_shard", _crash_once_shard
-    )
-    tele = tmp_path / "run.jsonl"
-    out = run_matrix_parallel(
-        _BENCHES, _CONFIGS, _SETTINGS, workers=2,
-        retries=2, retry_backoff=0.0, telemetry=str(tele),
-    )
-    # Every (benchmark, config) point survived the injected crash.
-    for label in _CONFIGS:
-        assert set(out[label]) == set(_BENCHES)
-    events = read_telemetry(tele)
-    assert any(e["event"] == "shard_error" for e in events)
-    assert any(e["event"] == "shard_retry" for e in events)
-    assert summarize_telemetry(events)["shards_failed"] == 0
-
-
-def test_worker_hang_times_out_and_retries(tmp_path, monkeypatch):
-    monkeypatch.setenv(_SENTINEL_VAR, str(tmp_path / "hung"))
-    monkeypatch.setattr(
-        parallel_mod, "_run_benchmark_shard", _hang_once_shard
-    )
-    tele = tmp_path / "run.jsonl"
-    started = time.monotonic()
-    out = run_matrix_parallel(
-        _BENCHES, _CONFIGS, _SETTINGS, workers=2,
-        shard_timeout=2.0, retries=2, retry_backoff=0.0,
-        telemetry=str(tele),
-    )
-    # The hung worker was abandoned, not waited for.
-    assert time.monotonic() - started < 45.0
-    for label in _CONFIGS:
-        assert set(out[label]) == set(_BENCHES)
-    events = read_telemetry(tele)
-    assert any(e["event"] == "shard_timeout" for e in events)
-
-
-def test_shard_events_carry_cell_key(tmp_path, monkeypatch):
-    """Every shard record — including retry/error — names its full
-    cell key (config labels + mode) so telemetry traces can be joined
-    with result-store entries."""
-    monkeypatch.setenv(_SENTINEL_VAR, str(tmp_path / "crashed"))
-    monkeypatch.setattr(
-        parallel_mod, "_run_benchmark_shard", _crash_once_shard
-    )
+def test_shard_events_carry_cell_key(tmp_path):
+    """Every shard record names its full cell key (benchmark and
+    config labels) so telemetry traces can be joined with
+    result-store entries."""
     tele = tmp_path / "run.jsonl"
     run_matrix_parallel(
-        _BENCHES, _CONFIGS, _SETTINGS, workers=2,
-        retries=2, retry_backoff=0.0, telemetry=str(tele),
+        _BENCHES, _CONFIGS, _SETTINGS, workers=2, telemetry=str(tele),
     )
     shard_events = [
         e for e in read_telemetry(tele)
         if e["event"].startswith("shard_")
     ]
-    # The injected crash exercises the retry path too.
-    assert {e["event"] for e in shard_events} >= {
-        "shard_start", "shard_finish", "shard_error", "shard_retry",
+    assert {e["event"] for e in shard_events} == {
+        "shard_start", "shard_finish",
     }
+    assert len(shard_events) == 2 * len(_BENCHES)
     for event in shard_events:
+        assert event["benchmark"] in _BENCHES, event
         assert event["configs"] == list(_CONFIGS), event
-        assert event["mode"] in ("pool", "serial"), event
 
 
-def test_permanent_failure_keeps_surviving_points(
-    tmp_path, monkeypatch
-):
-    monkeypatch.setattr(
-        parallel_mod, "_run_benchmark_shard", _always_crash_shard
-    )
+@pytest.mark.parametrize("workers", [1, 2], ids=lambda n: f"workers={n}")
+def test_failing_cell_fails_the_matrix(tmp_path, monkeypatch, workers):
+    """A cell that raises is attempted once and fails the whole
+    matrix, naming its benchmark and config label; no worker
+    outlives the call."""
+    plant_failing_cell(monkeypatch, "107.mgrid", _CONFIGS["NO"])
     tele = tmp_path / "run.jsonl"
-    out = run_matrix_parallel(
-        _BENCHES, _CONFIGS, _SETTINGS, workers=2,
-        retries=1, retry_backoff=0.0, telemetry=str(tele),
-    )
-    for label in _CONFIGS:
-        assert set(out[label]) == {"132.ijpeg"}
+    with pytest.raises(
+        RuntimeError, match=r"cell 107\.mgrid / NO: ValueError\('planted'\)"
+    ):
+        run_matrix_parallel(
+            _BENCHES, _CONFIGS, _SETTINGS, workers=workers,
+            telemetry=str(tele),
+        )
     events = read_telemetry(tele)
-    failed = [e for e in events if e["event"] == "shard_failed"]
-    assert [e["benchmark"] for e in failed] == ["107.mgrid"]
-    finish = [e for e in events if e["event"] == "matrix_finish"]
-    assert finish[0]["failed"] == ["107.mgrid"]
-
-
-def test_pool_death_degrades_to_serial(tmp_path, monkeypatch):
-    def broken_pool(workers):
-        raise OSError("no processes available")
-
-    monkeypatch.setattr(parallel_mod, "_make_pool", broken_pool)
-    tele = tmp_path / "run.jsonl"
-    out = run_matrix_parallel(
-        _BENCHES, _CONFIGS, _SETTINGS, workers=2, telemetry=str(tele)
-    )
-    for label in _CONFIGS:
-        assert set(out[label]) == set(_BENCHES)
-    events = read_telemetry(tele)
-    assert any(e["event"] == "serial_fallback" for e in events)
-    serial = [
-        e for e in events
-        if e["event"] == "shard_finish" and e.get("mode") == "serial"
-    ]
-    assert len(serial) == len(_BENCHES)
+    starts = [e["benchmark"] for e in events if e["event"] == "shard_start"]
+    assert sorted(starts) == sorted(_BENCHES)
+    assert events[-1]["event"] == "matrix_abort"
+    assert "107.mgrid / NO" in events[-1]["error"]
+    assert "matrix_finish" not in [e["event"] for e in events]
+    assert multiprocessing.active_children() == []
 
 
 def test_warm_rerun_performs_zero_resimulations(tmp_path):
@@ -276,12 +188,10 @@ def test_interrupt_emits_matrix_abort_serial(tmp_path, monkeypatch):
     """KeyboardInterrupt mid-matrix ends the stream with matrix_abort
     (and no matrix_finish), then re-raises."""
 
-    def interrupted(self, names):
+    def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(
-        parallel_mod._MatrixRun, "run_serial", interrupted
-    )
+    monkeypatch.setattr(runner, "run_benchmark", interrupted)
     tele = tmp_path / "abort.jsonl"
     with pytest.raises(KeyboardInterrupt):
         run_matrix_parallel(
@@ -317,18 +227,18 @@ def test_interrupt_mid_pool_reaps_workers(tmp_path, monkeypatch):
         mp_pool.Pool, "terminate", tracking_terminate
     )
 
-    def interrupting_poll(self, pending, active):
+    def interrupting_fold(key, result):
+        # The parent is interrupted at its first fold, pool still open.
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(
-        parallel_mod._MatrixRun, "_poll", interrupting_poll
-    )
+    monkeypatch.setattr(runner, "_remember", interrupting_fold)
     tele = tmp_path / "abort.jsonl"
     with pytest.raises(KeyboardInterrupt):
         run_matrix_parallel(
             _BENCHES, _CONFIGS, _SETTINGS, workers=2,
             telemetry=str(tele),
         )
-    assert terminated  # the pool context reaped its workers
+    assert terminated  # the pool was terminated, not left running
+    assert multiprocessing.active_children() == []
     events = read_telemetry(tele)
     assert events[-1]["event"] == "matrix_abort"

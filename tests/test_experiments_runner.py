@@ -141,9 +141,10 @@ def test_run_matrix_telemetry(tmp_path):
     )
     events = read_telemetry(tele)
     assert [e["event"] for e in events] == [
-        "matrix_start", "matrix_finish",
+        "matrix_start", "shard_start", "shard_finish", "matrix_finish",
     ]
-    assert events[1]["simulations"] == 1
+    assert events[0]["mode"] == "serial"
+    assert events[-1]["simulations"] == 1
     # A warm re-run in the same process is all memory hits.
     tele2 = tmp_path / "warm.jsonl"
     run_matrix(
@@ -151,8 +152,8 @@ def test_run_matrix_telemetry(tmp_path):
         telemetry=str(tele2),
     )
     warm = read_telemetry(tele2)
-    assert warm[1]["simulations"] == 0
-    assert warm[1]["memory_hits"] == 1
+    assert warm[-1]["simulations"] == 0
+    assert warm[-1]["memory_hits"] == 1
 
 
 def test_run_matrix_shape():

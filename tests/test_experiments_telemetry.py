@@ -73,19 +73,16 @@ def test_summarize_prefers_matrix_totals():
             "wall": 2.0, "memory_hits": 1, "store_hits": 0,
             "simulations": 3,
         },
-        {"event": "shard_retry", "benchmark": "a", "ts": 2},
-        {"event": "shard_timeout", "benchmark": "b", "ts": 3},
-        {"event": "shard_failed", "benchmark": "b", "ts": 4},
+        {"event": "shard_start", "benchmark": "b", "ts": 2},
         {
             "event": "matrix_finish", "ts": 5, "wall": 2.5,
             "memory_hits": 2, "store_hits": 4, "simulations": 6,
         },
     ]
     summary = summarize_telemetry(events)
-    assert summary["shards_started"] == 1
-    assert summary["shard_retries"] == 1
-    assert summary["shard_timeouts"] == 1
-    assert summary["shards_failed"] == 1
+    assert summary["shards_started"] == 2
+    assert summary["shards_finished"] == 1
+    assert summary["aborts"] == 0
     # matrix_finish totals win over shard sums.
     assert summary["simulations"] == 6
     assert summary["store_hits"] == 4
@@ -93,7 +90,8 @@ def test_summarize_prefers_matrix_totals():
     assert summary["wall_p50"] == pytest.approx(2.0)
     text = render_summary(summary)
     assert "6 simulated" in text
-    assert "1 retries" in text
+    assert "1 finished / 2 started" in text
+    assert "0 aborts" in text
 
 
 def test_summarize_falls_back_to_shard_sums():

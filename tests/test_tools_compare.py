@@ -77,7 +77,7 @@ def _telemetry_file(path, simulations, store_hits, wall):
         json.dumps({
             "event": "matrix_finish", "ts": 1,
             "simulations": simulations, "store_hits": store_hits,
-            "memory_hits": 0, "shards_failed": 0, "wall": wall,
+            "memory_hits": 0, "wall": wall,
         }),
     ]
     path.write_text("\n".join(lines) + "\n")

@@ -27,6 +27,7 @@ from repro.experiments.parallel import run_matrix_parallel
 from repro.experiments.runner import ExperimentSettings, clear_results
 from repro.experiments.telemetry import read_telemetry
 from repro.trace.tracestore import set_trace_store
+from repro.vm.interpreter import ExecutionLimitExceeded
 from repro.workloads.catalog import (
     DEFAULT_LENGTH,
     KERNEL_NAMES,
@@ -112,29 +113,22 @@ def test_precompile_reports_store_hits(tmp_path):
 
 
 def test_precompile_isolates_failing_benchmarks(tmp_path):
-    """A kernel that cannot fit the requested budget is reported as
-    an error and skipped — its shard fails on its own later instead of
-    killing the whole matrix before the fork."""
-    natural = len(kernel_trace("recurrence", n=128))
-    sources = precompile(
-        [("132.ijpeg", 2_000), ("btree", 50)]  # btree can't fit 50
-    )
-    assert sources["132.ijpeg"] == "generated"
-    assert sources["btree"] == "error"
-    assert natural > 50  # sanity: the budget really was too small
+    """A kernel that cannot fit the requested budget fails loudly: the
+    error names the benchmark, and the matrix stops before its fork
+    instead of dropping that benchmark."""
+    with pytest.raises(ExecutionLimitExceeded, match="btree: exceeded 50"):
+        precompile([("132.ijpeg", 2_000), ("btree", 50)])
     tele = tmp_path / "run.jsonl"
-    out = run_matrix_parallel(
-        ("132.ijpeg", "btree"), _CONFIGS,
-        ExperimentSettings(timing_instructions=30,
-                           warmup_instructions=20),
-        workers=2, retries=1, retry_backoff=0.0, telemetry=str(tele),
-    )
-    for label in _CONFIGS:
-        assert set(out[label]) == {"132.ijpeg"}
-    failed = [
-        e for e in read_telemetry(tele) if e["event"] == "shard_failed"
-    ]
-    assert [e["benchmark"] for e in failed] == ["btree"]
+    with pytest.raises(ExecutionLimitExceeded, match="btree"):
+        run_matrix_parallel(
+            ("132.ijpeg", "btree"), _CONFIGS,
+            ExperimentSettings(timing_instructions=30,
+                               warmup_instructions=20),
+            workers=2, telemetry=str(tele),
+        )
+    events = read_telemetry(tele)
+    assert [e["event"] for e in events] == ["matrix_start", "matrix_abort"]
+    assert "btree" in events[-1]["error"]
 
 
 def test_parallel_precompiled_matches_serial_regenerated():

@@ -374,7 +374,7 @@ def main(argv=None) -> int:
         "warm_pass": {
             key: warm_summary[key]
             for key in ("simulations", "store_hits", "memory_hits",
-                        "cache_hit_rate", "shards_failed")
+                        "cache_hit_rate")
         },
         "ipc": ipc,
     }

@@ -61,7 +61,7 @@ def telemetry_summary(path: str) -> dict:
     """
     totals = {
         "simulations": 0, "memory_hits": 0, "store_hits": 0,
-        "wall": 0.0, "shards_failed": 0, "events": 0,
+        "wall": 0.0, "events": 0,
     }
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:
@@ -76,8 +76,7 @@ def telemetry_summary(path: str) -> dict:
                 continue
             totals["events"] += 1
             if event.get("event") in ("matrix_finish", "artifact_finish"):
-                for key in ("simulations", "memory_hits", "store_hits",
-                            "shards_failed"):
+                for key in ("simulations", "memory_hits", "store_hits"):
                     totals[key] += int(event.get(key, 0))
                 totals["wall"] += float(event.get("wall", 0.0))
     return totals
@@ -85,8 +84,7 @@ def telemetry_summary(path: str) -> dict:
 
 def compare_telemetry(before: dict, after: dict):
     """Yield (metric, before, after) rows for the telemetry diff."""
-    for key in ("simulations", "memory_hits", "store_hits",
-                "shards_failed", "wall"):
+    for key in ("simulations", "memory_hits", "store_hits", "wall"):
         yield key, before[key], after[key]
 
 

@@ -251,20 +251,28 @@ def _dispatch(argv=None) -> int:
             started = time.time()
             before = cache_stats()
             writer.emit("artifact_start", artifact=name)
-            report = ARTIFACTS[name](settings)
-            elapsed = time.time() - started
-            spent = cache_stats().delta(before)
-            writer.emit(
-                "artifact_finish",
-                artifact=name,
-                wall=elapsed,
-                memory_hits=spent.memory_hits,
-                store_hits=spent.store_hits,
-                simulations=spent.simulations,
-            )
-            print(report.render())
-            print(f"\n  [{name} regenerated in {elapsed:.1f}s]\n")
-            _export(report, name, args.json, args.csv)
+            try:
+                report = ARTIFACTS[name](settings)
+                elapsed = time.time() - started
+                spent = cache_stats().delta(before)
+                writer.emit(
+                    "artifact_finish",
+                    artifact=name,
+                    wall=elapsed,
+                    memory_hits=spent.memory_hits,
+                    store_hits=spent.store_hits,
+                    simulations=spent.simulations,
+                )
+                print(report.render())
+                print(f"\n  [{name} regenerated in {elapsed:.1f}s]\n")
+                _export(report, name, args.json, args.csv)
+            except BaseException as exc:
+                # Record why the stream stops, then re-raise unchanged.
+                writer.emit(
+                    "artifact_abort", artifact=name,
+                    reason=type(exc).__name__, error=str(exc),
+                )
+                raise
 
     if args.observe:
         from repro.workloads.spec95 import ALL_BENCHMARKS
@@ -673,23 +681,8 @@ def _check_main(argv) -> int:
     return 0 if outcome.ok else 1
 
 
-def _cache_main(argv) -> int:
-    """``repro-experiments cache [prune] [--path DIR] [--clear] ...``."""
-    from repro.experiments.store import (
-        ResultStore, default_store_path,
-    )
-    from repro.trace.tracestore import (
-        TraceStore, default_trace_store_path,
-    )
-
-    if argv and argv[0] == "prune":
-        return _cache_prune_main(argv[1:])
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments cache",
-        description=(
-            "Inspect or clear the persistent result and trace stores."
-        ),
-    )
+def _add_store_paths(parser: argparse.ArgumentParser) -> None:
+    """``--path`` and ``--trace-path``, the stores ``cache`` works on."""
     parser.add_argument(
         "--path", metavar="DIR", default=None,
         help="result-store directory (default: $REPRO_RESULT_STORE or "
@@ -700,6 +693,31 @@ def _cache_main(argv) -> int:
         help="trace-store directory (default: $REPRO_TRACE_STORE or "
              "~/.cache/repro-traces)",
     )
+
+
+def _stores(args):
+    """The result and trace stores that :func:`_add_store_paths`'
+    arguments name."""
+    from repro.experiments.store import ResultStore, default_store_path
+    from repro.trace.tracestore import TraceStore, default_trace_store_path
+
+    return (
+        ResultStore(args.path or default_store_path()),
+        TraceStore(args.trace_path or default_trace_store_path()),
+    )
+
+
+def _cache_main(argv) -> int:
+    """``repro-experiments cache [prune] [--path DIR] [--clear] ...``."""
+    if argv and argv[0] == "prune":
+        return _cache_prune_main(argv[1:])
+    parser = argparse.ArgumentParser(
+        prog="repro-experiments cache",
+        description=(
+            "Inspect or clear the persistent result and trace stores."
+        ),
+    )
+    _add_store_paths(parser)
     parser.add_argument(
         "--clear", action="store_true",
         help="delete every cached result record",
@@ -710,8 +728,7 @@ def _cache_main(argv) -> int:
     )
     args = parser.parse_args(argv)
 
-    store = ResultStore(args.path or default_store_path())
-    traces = TraceStore(args.trace_path or default_trace_store_path())
+    store, traces = _stores(args)
     if args.clear or args.clear_traces:
         if args.clear:
             removed = store.clear()
@@ -744,12 +761,6 @@ def _cache_main(argv) -> int:
 def _cache_prune_main(argv) -> int:
     """``repro-experiments cache prune [--max-age D] [--apply] ...``."""
     from repro.experiments.prune import prune_paths
-    from repro.experiments.store import (
-        ResultStore, default_store_path,
-    )
-    from repro.trace.tracestore import (
-        TraceStore, default_trace_store_path,
-    )
 
     parser = argparse.ArgumentParser(
         prog="repro-experiments cache prune",
@@ -759,16 +770,7 @@ def _cache_prune_main(argv) -> int:
             "--apply executes it."
         ),
     )
-    parser.add_argument(
-        "--path", metavar="DIR", default=None,
-        help="result-store directory (default: $REPRO_RESULT_STORE or "
-             "~/.cache/repro-results)",
-    )
-    parser.add_argument(
-        "--trace-path", metavar="DIR", default=None,
-        help="trace-store directory (default: $REPRO_TRACE_STORE or "
-             "~/.cache/repro-traces)",
-    )
+    _add_store_paths(parser)
     parser.add_argument(
         "--max-age", type=float, metavar="DAYS", default=None,
         help="evict entries older than DAYS days",
@@ -808,28 +810,24 @@ def _cache_prune_main(argv) -> int:
         int(args.max_size * 1024 * 1024)
         if args.max_size is not None else None
     )
-    # Entries of another schema or format version can never be served,
-    # so the plan covers them too.
+    store, traces = _stores(args)
     targets = []
     if not args.traces_only:
-        store = ResultStore(args.path or default_store_path())
-        targets.append(
-            ("results", store.root, [*store.entries(), *store.stale_entries()])
-        )
+        targets.append(("results", store))
     if not args.results_only:
-        traces = TraceStore(args.trace_path or default_trace_store_path())
-        targets.append(
-            ("traces", traces.root, [*traces.entries(), *traces.stale_entries()])
-        )
+        targets.append(("traces", traces))
 
-    for label, root, paths in targets:
+    for label, target in targets:
+        # Entries of another schema or format version can never be
+        # served, so the plan covers them too.
         report = prune_paths(
-            paths, max_age_seconds=max_age, max_size_bytes=max_size,
+            [*target.entries(), *target.stale_entries()],
+            max_age_seconds=max_age, max_size_bytes=max_size,
             apply=args.apply,
         )
         verb = "pruned" if args.apply else "would prune"
         print(
-            f"{label:8s} {root}: {verb} "
+            f"{label:8s} {target.root}: {verb} "
             f"{len(report['selected'])}/{report['examined']} entries "
             f"({report['selected_bytes'] / 1024:.1f} KiB), keeping "
             f"{report['kept']} ({report['kept_bytes'] / 1024:.1f} KiB)"
@@ -895,10 +893,14 @@ def _simulate(
         )
         shards.setdefault(name, []).append((label, config))
     started = time.time()
-    run_cells_parallel(shards, settings, workers=workers, telemetry=telemetry)
+    _, totals = run_cells_parallel(
+        shards, settings, workers=workers, telemetry=telemetry
+    )
     print(
-        f"  [simulated {len(cells)} cells of the requested artifacts "
-        f"with {workers} workers in {time.time() - started:.1f}s]\n"
+        f"  [{len(cells)} cells of the requested artifacts with {workers} "
+        f"workers in {time.time() - started:.1f}s: "
+        f"{totals['simulations']} simulated, "
+        f"{totals['store_hits']} from the result store]\n"
     )
 
 

@@ -14,7 +14,9 @@ persistent store is active, workers consult and populate it too (the
 
 A cell that raises fails the matrix: the error names its benchmark and
 config label, the pool is terminated, the telemetry stream ends in
-``matrix_abort`` and the exception propagates to the caller. Every
+``matrix_abort`` and the exception propagates to the caller. A worker
+that dies without raising (killed by a signal) fails it the same way,
+with an error saying so. Every
 lifecycle step streams to a JSONL **telemetry** file (see
 :mod:`repro.experiments.telemetry`) consumed by the
 ``repro-experiments status`` subcommand and
@@ -101,7 +103,7 @@ def run_matrix_parallel(
     return run_cells_parallel(
         {name: labelled for name in benchmarks}, settings, workers,
         **options,
-    )
+    )[0]
 
 
 def run_cells_parallel(
@@ -112,11 +114,13 @@ def run_cells_parallel(
     telemetry=None,
     precompile: bool = True,
     backend: Optional[str] = None,
-) -> Dict[str, Dict[str, SimResult]]:
+) -> Tuple[Dict[str, Dict[str, SimResult]], Dict[str, float]]:
     """Simulate *cells* (``{benchmark: [(label, config), ...]}``) over a
     fork pool of *workers* processes, one shard per benchmark.
 
-    Returns ``{config_label: {benchmark: SimResult}}``. With
+    Returns ``({config_label: {benchmark: SimResult}}, totals)``, where
+    *totals* sums the shards' ``memory_hits``, ``store_hits``,
+    ``simulations`` and ``trace_wall``, as ``matrix_finish`` does. With
     ``workers=1`` (or a single benchmark) the shards run in this
     process, one after another, without spawning any.
 
@@ -184,7 +188,9 @@ def run_cells_parallel(
             ]
             if pooled:
                 pool = multiprocessing.get_context("fork").Pool(workers)
-                finished = pool.imap_unordered(_run_benchmark_shard, args)
+                finished = _watched(
+                    pool, pool.imap_unordered(_run_benchmark_shard, args)
+                )
             else:
                 finished = map(_run_benchmark_shard, args)
             for name, results, stats in finished:
@@ -229,7 +235,30 @@ def run_cells_parallel(
     finally:
         if owned:
             writer.close()
-    return out
+    return out, totals
+
+
+def _watched(pool, results):
+    """Yield from *results*, an iterator over *pool*'s tasks; raise once
+    a worker of *pool* has died.
+
+    The pool replaces a worker killed by a signal (the OOM killer, a
+    segfault) but never yields its shard, so waiting on *results* alone
+    would hang. Workers exit only when the pool is terminated.
+    """
+    workers = list(pool._pool)
+    while True:
+        try:
+            yield results.next(timeout=0.1)
+        except StopIteration:
+            return
+        except multiprocessing.TimeoutError:
+            for worker in workers:
+                if worker.exitcode is not None:
+                    raise RuntimeError(
+                        f"pool worker {worker.pid} died with exit code "
+                        f"{worker.exitcode}; its shard was lost"
+                    ) from None
 
 
 def _precompile(shards, settings: ExperimentSettings, writer) -> None:

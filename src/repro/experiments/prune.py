@@ -3,9 +3,8 @@
 The stores keep every entry they write (only corrupt or stale ones
 are dropped), so a store shared across runs, seeds and run lengths
 only grows. ``repro cache prune`` applies two complementary policies
-to any store that can enumerate its entry paths (both
-:class:`~repro.experiments.store.ResultStore` and
-:class:`~repro.trace.tracestore.TraceStore` can):
+to the entry paths of a :class:`~repro.diskstore.DiskStore`, the base
+of both stores:
 
 * **age**: entries whose mtime is older than ``max_age_seconds`` go
   (a cold cell will be re-simulated on next request — eviction can

@@ -8,8 +8,9 @@ telemetry file. Each event carries at least:
 ``event``
     The event name: ``matrix_start``, ``trace_precompile``,
     ``shard_start``, ``shard_finish``, ``matrix_finish``
-    (``matrix_abort`` when a cell raises or the run is interrupted),
-    ``artifact_start``, ``artifact_finish``.
+    (``matrix_abort`` when a cell raises, a worker dies or the run is
+    interrupted), ``artifact_start``, ``artifact_finish``
+    (``artifact_abort`` when an artifact raises or is interrupted).
 ``ts``
     Unix timestamp (``time.time()``) when the event was emitted.
 
@@ -23,7 +24,8 @@ loading traces and dependence analyses). ``matrix_finish`` carries the
 same counters aggregated over the whole matrix, which is how "a warm
 re-run performed zero re-simulations" is verified mechanically;
 ``matrix_abort`` carries them so far, with ``reason`` (the exception
-type) and ``error`` (its message, which names a failing cell). The
+type) and ``error`` (its message, which names a failing cell);
+``artifact_abort`` carries ``artifact``, ``reason`` and ``error``. The
 pooled runner additionally emits one ``trace_precompile`` event before
 forking, counting how many benchmark traces came from the in-process
 memo, the persistent trace store, or fresh generation.
@@ -174,7 +176,7 @@ def summarize_telemetry(events: Iterable[dict]) -> dict:
         "matrix_runs": len(finishes),
         "shards_started": _count("shard_start"),
         "shards_finished": _count("shard_finish"),
-        "aborts": _count("matrix_abort"),
+        "aborts": _count("matrix_abort") + _count("artifact_abort"),
         "cache_hit_rate": (cached / total) if total else 0.0,
         "wall_total": sum(walls),
         "wall_p50": percentile(walls, 0.5) if walls else 0.0,

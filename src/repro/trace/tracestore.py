@@ -1,9 +1,12 @@
 """Persistent on-disk store for compiled traces.
 
-Mirrors the conventions of :mod:`repro.experiments.store` (content
-addressing, checksums, atomic writes, quiet failure → regenerate) but
-for :class:`~repro.trace.compiled.CompiledTrace` binaries instead of
-result records.
+:class:`TraceStore` is a :class:`~repro.diskstore.DiskStore` (which
+owns the layout, atomic writes, dropping bad entries, maintenance and
+the process-wide selection) whose entries are
+:class:`~repro.trace.compiled.CompiledTrace` binaries, decoded through
+``mmap`` and validated end-to-end (magic, version, trailing SHA-256)
+by :meth:`CompiledTrace.from_bytes`. A file that fails is dropped, so
+corruption can only ever cost a re-generation, never a wrong trace.
 
 Keying exploits how traces are produced:
 
@@ -22,26 +25,17 @@ Keying exploits how traces are produced:
   regenerated trace would be identical — and misses for smaller
   budgets, where regeneration would raise exactly as it does uncached.
 
-File layout: ``root/t{format}/xx/{digest}.rptc`` where *digest* is the
-SHA-256 of the canonical series identity and *format* is
-:data:`~repro.trace.compiled.COMPILED_FORMAT_VERSION`. Files under
-another format's ``t<N>/`` are never served; :meth:`TraceStore.clear`
-and ``repro cache prune`` still reach them. Payloads are
-read through ``mmap`` and validated end-to-end (magic, version,
-trailing SHA-256) by :meth:`CompiledTrace.from_bytes`; any structural
-failure unlinks the file and falls through to regeneration, so
-corruption can only ever cost a re-generation, never a wrong trace.
+:func:`serve` is that rule, for the store and the catalog's compiled
+memo alike. Files live under ``t<format>/``, where *format* is
+:data:`~repro.trace.compiled.COMPILED_FORMAT_VERSION`.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import mmap
-import os
-import tempfile
-from typing import Iterator, Optional, Union
+from typing import Optional
 
+from repro.diskstore import DiskStore, Selection, digest_of
 from repro.trace.compiled import (
     COMPILED_FORMAT_VERSION,
     CompiledTrace,
@@ -52,29 +46,31 @@ from repro.trace.compiled import (
 TRACE_STORE_ENV_VAR = "REPRO_TRACE_STORE"
 
 
-def default_trace_store_path() -> str:
-    """``$REPRO_TRACE_STORE`` or ``~/.cache/repro-traces``."""
-    env = os.environ.get(TRACE_STORE_ENV_VAR)
-    if env:
-        return env
-    return os.path.join(
-        os.path.expanduser("~"), ".cache", "repro-traces"
-    )
+def serve(compiled: CompiledTrace, length: int) -> Optional[CompiledTrace]:
+    """The part of *compiled* answering a request for *length*, if any.
+
+    A kernel entry serves any budget its run fits in (under a smaller
+    budget regeneration raises, exactly as uncached). A synthetic entry
+    serves its own length, and a shorter one by column slicing.
+    """
+    if compiled.kind == "kernel":
+        return compiled if length >= compiled.length else None
+    if compiled.length == length:
+        return compiled
+    if compiled.length > length:
+        return compiled.slice_prefix(length)
+    return None
 
 
-class TraceStore:
+class TraceStore(DiskStore):
     """On-disk cache of compiled traces under one root directory."""
 
-    def __init__(self, root: Union[str, os.PathLike]) -> None:
-        self.root = os.fspath(root)
-        self.hits = 0
-        self.prefix_hits = 0
-        self.misses = 0
-        self.writes = 0
-        self.corrupt_dropped = 0
-        self.stale_dropped = 0
+    prefix, suffix, version_name = "t", ".rptc", "format"
+    counters = DiskStore.counters + ("prefix_hits",)
 
-    # -- keying --------------------------------------------------------------
+    @property
+    def version(self) -> int:
+        return COMPILED_FORMAT_VERSION
 
     def digest(self, name: str, seed: int, generator_version: str) -> str:
         """Content address of one trace *series*.
@@ -82,23 +78,9 @@ class TraceStore:
         Length is deliberately absent: one file per series holds the
         longest trace and serves shorter requests by column slicing.
         """
-        identity = [COMPILED_FORMAT_VERSION, name, seed, generator_version]
-        return hashlib.sha256(
-            json.dumps(identity, sort_keys=True,
-                       separators=(",", ":")).encode("utf-8")
-        ).hexdigest()
-
-    def _path_for(self, digest: str) -> str:
-        return os.path.join(
-            self.root, f"t{COMPILED_FORMAT_VERSION}", digest[:2],
-            f"{digest}.rptc",
+        return digest_of(
+            [COMPILED_FORMAT_VERSION, name, seed, generator_version]
         )
-
-    def path_for(self, name: str, seed: int, generator_version: str) -> str:
-        """On-disk path a series would live at (whether or not present)."""
-        return self._path_for(self.digest(name, seed, generator_version))
-
-    # -- read ----------------------------------------------------------------
 
     def load(
         self, name: str, length: int, seed: int, generator_version: str
@@ -106,43 +88,29 @@ class TraceStore:
         """The stored compiled trace for ``(name, length, seed)``.
 
         ``None`` on miss, corruption, version skew, or a stored entry
-        too short to serve *length* under its kind's semantics.
+        that does not :func:`serve` *length*. A synthetic entry too
+        short for *length* stays: it still serves shorter requests, and
+        :meth:`save` replaces it with the longer trace.
         """
         path = self._path_for(self.digest(name, seed, generator_version))
         stored = self._read(path)
-        if stored is None:
-            self.misses += 1
-            return None
-        if stored.name != name:
+        if stored is not None and stored.name != name:
             # A digest collision or a file moved by hand; either way
             # the content does not answer this query.
             self._drop(path, corrupt=True)
+            stored = None
+        served = serve(stored, length) if stored is not None else None
+        if served is None:
             self.misses += 1
-            return None
-        if stored.kind == "kernel":
-            # Kernel entries hold a run to natural completion; they
-            # serve any budget the run fits in. For smaller budgets
-            # regeneration raises ExecutionLimitExceeded, exactly as
-            # it would have uncached.
-            if length >= stored.length:
-                self.hits += 1
-                return stored
-            self.misses += 1
-            return None
-        if stored.length == length:
+        elif served is stored:
             self.hits += 1
-            return stored
-        if stored.length > length:
+        else:
             self.prefix_hits += 1
-            return stored.slice_prefix(length)
-        # Too short for this request; keep it — it still serves
-        # shorter lengths, and save() will replace it with the longer
-        # trace the caller is about to generate.
-        self.misses += 1
-        return None
+        return served
 
     def _read(self, path: str) -> Optional[CompiledTrace]:
-        """Decode one file via mmap; unlink and None on any failure."""
+        """Decode one file via mmap; ``None`` on any failure, dropping
+        a file that exists but does not decode."""
         try:
             with open(path, "rb") as handle:
                 try:
@@ -152,8 +120,6 @@ class TraceStore:
                 except ValueError:  # empty file
                     self._drop(path, corrupt=True)
                     return None
-        except FileNotFoundError:
-            return None
         except OSError:
             return None
         result: Optional[CompiledTrace] = None
@@ -172,18 +138,6 @@ class TraceStore:
             self._drop(path, corrupt=True)
         return result
 
-    def _drop(self, path: str, corrupt: bool) -> None:
-        if corrupt:
-            self.corrupt_dropped += 1
-        else:
-            self.stale_dropped += 1
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-
-    # -- write ---------------------------------------------------------------
-
     def save(
         self,
         compiled: CompiledTrace,
@@ -197,150 +151,22 @@ class TraceStore:
         lengths never differ within a generator version). Returns the
         entry path, or ``None`` when nothing was written.
         """
-        digest = self.digest(compiled.name, seed, generator_version)
-        path = self._path_for(digest)
+        path = self._path_for(
+            self.digest(compiled.name, seed, generator_version)
+        )
         existing = self._read(path)
         if existing is not None and existing.length >= compiled.length:
             return None
-        directory = os.path.dirname(path)
-        try:
-            os.makedirs(directory, exist_ok=True)
-            fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(compiled.to_bytes())
-                os.replace(tmp_path, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_path)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            # Unwritable store (read-only CI cache, full disk): the
-            # freshly generated trace is still returned to the caller.
-            return None
-        self.writes += 1
-        return path
-
-    # -- maintenance / introspection -----------------------------------------
-
-    def entries(self) -> Iterator[str]:
-        """Paths of every trace file of the current format."""
-        return version_records(
-            self.root, "t", COMPILED_FORMAT_VERSION, ".rptc"
-        )
-
-    def stale_entries(self) -> Iterator[str]:
-        """Paths of trace files under any other format version: never
-        served, so evicting them costs nothing."""
-        return version_records(
-            self.root, "t", COMPILED_FORMAT_VERSION, ".rptc", current=False
-        )
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.entries())
-
-    def size_bytes(self) -> int:
-        total = 0
-        for path in self.entries():
-            try:
-                total += os.path.getsize(path)
-            except OSError:
-                pass
-        return total
-
-    def clear(self) -> int:
-        """Delete every entry, of any format version; returns how many
-        were removed."""
-        removed = 0
-        for path in [*self.entries(), *self.stale_entries()]:
-            try:
-                os.unlink(path)
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
-    def stats(self) -> dict:
-        """Session counters plus on-disk totals."""
-        return {
-            "path": self.root,
-            "format": COMPILED_FORMAT_VERSION,
-            "hits": self.hits,
-            "prefix_hits": self.prefix_hits,
-            "misses": self.misses,
-            "writes": self.writes,
-            "corrupt_dropped": self.corrupt_dropped,
-            "stale_dropped": self.stale_dropped,
-            "entries": len(self),
-            "stale_entries": sum(1 for _ in self.stale_entries()),
-            "size_bytes": self.size_bytes(),
-        }
+        return self._write(path, compiled.to_bytes())
 
 
-def version_records(
-    root: str, prefix: str, version: int, suffix: str, current: bool = True
-) -> Iterator[str]:
-    """Record paths under ``root/<prefix><version>/xx/``, or with
-    ``current=False`` under every other ``<prefix><N>/`` directory."""
-    if current:
-        versions = [f"{prefix}{version}"]
-    else:
-        try:
-            versions = sorted(
-                name for name in os.listdir(root)
-                if name.startswith(prefix) and name[len(prefix):].isdigit()
-                and int(name[len(prefix):]) != version
-            )
-        except OSError:
-            return
-    for name in versions:
-        base = os.path.join(root, name)
-        if not os.path.isdir(base):
-            continue
-        for shard in sorted(os.listdir(base)):
-            shard_dir = os.path.join(base, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for entry in sorted(os.listdir(shard_dir)):
-                if entry.endswith(suffix):
-                    yield os.path.join(shard_dir, entry)
+_selected = Selection(TraceStore, TRACE_STORE_ENV_VAR, "repro-traces")
 
-
-# -- process-wide active store ----------------------------------------------
-
-_active: Optional[TraceStore] = None
-_explicitly_disabled = False
-
-
-def set_trace_store(
-    store: Union[TraceStore, str, os.PathLike, None],
-) -> Optional[TraceStore]:
-    """Install the process-wide trace store (path or instance).
-
-    ``set_trace_store(None)`` disables persistence entirely, including
-    the ``$REPRO_TRACE_STORE`` fallback, until the next call. Returns
-    the installed store (or ``None``).
-    """
-    global _active, _explicitly_disabled
-    if store is None:
-        _active = None
-        _explicitly_disabled = True
-    elif isinstance(store, TraceStore):
-        _active = store
-        _explicitly_disabled = False
-    else:
-        _active = TraceStore(store)
-        _explicitly_disabled = False
-    return _active
-
-
-def active_trace_store() -> Optional[TraceStore]:
-    """The installed store, else one from ``$REPRO_TRACE_STORE``."""
-    global _active
-    if _active is None and not _explicitly_disabled:
-        env = os.environ.get(TRACE_STORE_ENV_VAR)
-        if env:
-            _active = TraceStore(env)
-    return _active
+#: ``$REPRO_TRACE_STORE`` or ``~/.cache/repro-traces``.
+default_trace_store_path = _selected.default_path
+#: Install the process-wide trace store (path or instance) and return
+#: it; ``set_trace_store(None)`` disables persistence,
+#: ``$REPRO_TRACE_STORE`` included, until the next call.
+set_trace_store = _selected.set
+#: The installed store, else one from ``$REPRO_TRACE_STORE``.
+active_trace_store = _selected.get

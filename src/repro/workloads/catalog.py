@@ -47,7 +47,7 @@ from repro.trace.dependences import (
     compute_true_dependences,
 )
 from repro.trace.events import Trace
-from repro.trace.tracestore import active_trace_store
+from repro.trace.tracestore import active_trace_store, serve
 from repro.vm.interpreter import run_program
 from repro.workloads.kernels import KERNELS
 from repro.workloads.spec95 import profile_for
@@ -169,51 +169,19 @@ def get_trace(
         return cached
 
     started = perf_counter()
-    canonical = _canonical_name(name)
-    series = (canonical, seed)
-    trace: Optional[Trace] = None
-
-    entry = _compiled_cache.get(series)
-    if entry is not None:
-        compiled, origin = entry
-        served = _serve(compiled, length)
-        if served is not None:
-            _compiled_cache.move_to_end(series)
-            trace = served.materialize(
-                provenance=(canonical, served.length, seed,
-                            GENERATOR_VERSION)
-            )
-            if origin == "precompiled":
-                _trace_stats.inherited += 1
-            else:
-                _trace_stats.memory_hits += 1
-
-    if trace is None:
-        store = active_trace_store()
-        if store is not None:
-            compiled = store.load(canonical, length, seed,
-                                  GENERATOR_VERSION)
-            if compiled is not None:
-                _remember_compiled(series, compiled, "loaded")
-                trace = compiled.materialize(
-                    provenance=(canonical, compiled.length, seed,
-                                GENERATOR_VERSION)
-                )
-                _trace_stats.store_hits += 1
-
-    if trace is None:
-        trace, kind = _generate(canonical, length, seed)
-        _trace_stats.generated += 1
-        store = active_trace_store()
-        if store is not None:
-            compiled = _compile_with_dependences(trace, kind, length)
-            store.save(compiled, seed, GENERATOR_VERSION)
-            _remember_compiled(series, compiled, "compiled")
+    series = (_canonical_name(name), seed)
+    compiled, _ = _lookup(series, length)
+    if compiled is not None:
+        trace = compiled.materialize(
+            provenance=(series[0], compiled.length, seed, GENERATOR_VERSION)
+        )
+    else:
+        trace, kind = _generate(series, length)
+        if active_trace_store() is not None:
+            _persist(series, trace, kind, length)
 
     _trace_stats.trace_wall += perf_counter() - started
-    _trace_cache[key] = trace
-    if len(_trace_cache) > TRACE_CACHE_SIZE:
-        _trace_cache.popitem(last=False)
+    _memo_put(_trace_cache, key, trace)
     return trace
 
 
@@ -231,52 +199,47 @@ def get_compiled(
     :func:`get_trace` for the same request come from the same columns.
     """
     started = perf_counter()
-    canonical = _canonical_name(name)
-    series = (canonical, seed)
-
-    entry = _compiled_cache.get(series)
-    if entry is not None:
-        compiled, origin = entry
-        served = _serve(compiled, length)
-        if served is not None:
-            _compiled_cache.move_to_end(series)
-            if not served.has_dependences:
-                served.attach_dependences(
-                    _dependence_info_for(served, canonical, seed)
-                )
-            if origin == "precompiled":
-                _trace_stats.inherited += 1
-            else:
-                _trace_stats.memory_hits += 1
-            _trace_stats.trace_wall += perf_counter() - started
-            return served
-
-    store = active_trace_store()
-    if store is not None:
-        compiled = store.load(canonical, length, seed,
-                              GENERATOR_VERSION)
-        if compiled is not None:
-            _remember_compiled(series, compiled, "loaded")
-            if not compiled.has_dependences:
-                compiled.attach_dependences(
-                    _dependence_info_for(compiled, canonical, seed)
-                )
-            _trace_stats.store_hits += 1
-            _trace_stats.trace_wall += perf_counter() - started
-            return compiled
-
-    trace, kind = _generate(canonical, length, seed)
-    _trace_stats.generated += 1
-    compiled = _compile_with_dependences(trace, kind, length)
-    if store is not None:
-        store.save(compiled, seed, GENERATOR_VERSION)
-    _remember_compiled(series, compiled, "compiled")
+    series = (_canonical_name(name), seed)
+    compiled, _ = _lookup(series, length)
+    if compiled is None:
+        compiled = _persist(series, *_generate(series, length), length)
+    _attach_dependences(compiled, series)
     _trace_stats.trace_wall += perf_counter() - started
     return compiled
 
 
-def _generate(canonical: str, length: int, seed: int):
+def _lookup(
+    series: Tuple[str, int], length: int
+) -> Tuple[Optional[CompiledTrace], str]:
+    """The compiled memo's answer to a request, else the trace store's
+    (then remembered), counted by where it came from: ``(compiled,
+    "memo" | "store")``, or ``(None, "")`` when neither has one."""
+    entry = _compiled_cache.get(series)
+    if entry is not None:
+        compiled, origin = entry
+        served = serve(compiled, length)
+        if served is not None:
+            _compiled_cache.move_to_end(series)
+            if origin == "precompiled":
+                _trace_stats.inherited += 1
+            else:
+                _trace_stats.memory_hits += 1
+            return served, "memo"
+    store = active_trace_store()
+    if store is not None:
+        compiled = store.load(
+            series[0], length, series[1], GENERATOR_VERSION
+        )
+        if compiled is not None:
+            _remember_compiled(series, compiled, "loaded")
+            _trace_stats.store_hits += 1
+            return compiled, "store"
+    return None, ""
+
+
+def _generate(series: Tuple[str, int], length: int):
     """Run the generator; returns ``(trace, kind)`` with provenance."""
+    canonical, seed = series
     if canonical in KERNELS:
         trace = kernel_trace(canonical, max_instructions=length)
         kind = "kernel"
@@ -285,38 +248,27 @@ def _generate(canonical: str, length: int, seed: int):
         trace = SyntheticProgram(profile, seed=seed).generate(length)
         kind = "synthetic"
     trace.provenance = (canonical, len(trace), seed, GENERATOR_VERSION)
+    _trace_stats.generated += 1
     return trace, kind
 
 
-def _serve(compiled: CompiledTrace, length: int) -> Optional[CompiledTrace]:
-    """The part of *compiled* answering a request for *length*, if any.
-
-    Kernel entries hold a run to natural completion: they serve any
-    budget ≥ that length (regeneration under a smaller budget would
-    raise, exactly as uncached). Synthetic entries are prefix-stable:
-    a longer entry serves a shorter request by column slicing.
-    """
-    if compiled.kind == "kernel":
-        return compiled if length >= compiled.length else None
-    if compiled.length == length:
-        return compiled
-    if compiled.length > length:
-        return compiled.slice_prefix(length)
-    return None
-
-
-def _compile_with_dependences(
-    trace: Trace, kind: str, budget: int
+def _persist(
+    series: Tuple[str, int], trace: Trace, kind: str, budget: int
 ) -> CompiledTrace:
-    """Pack *trace* with its dependence map (memoizing the analysis)."""
+    """Pack a freshly generated *trace* with its dependence map
+    (memoizing the analysis), save it to the active trace store and
+    remember it in the compiled memo."""
     info = compute_dependence_info(trace)
-    prov = trace.provenance
-    if prov is not None:
-        _memo_put(_dep_cache, prov, info)
-    return compile_trace(
+    _memo_put(_dep_cache, trace.provenance, info)
+    compiled = compile_trace(
         trace, dep_info=info, kind=kind,
         budget=budget if kind == "kernel" else None,
     )
+    store = active_trace_store()
+    if store is not None:
+        store.save(compiled, series[1], GENERATOR_VERSION)
+    _remember_compiled(series, compiled, "compiled")
+    return compiled
 
 
 def _remember_compiled(
@@ -326,10 +278,7 @@ def _remember_compiled(
     entry = _compiled_cache.get(series)
     if entry is not None and entry[0].length >= compiled.length:
         compiled = entry[0]
-    _compiled_cache[series] = (compiled, origin)
-    _compiled_cache.move_to_end(series)
-    if len(_compiled_cache) > TRACE_CACHE_SIZE:
-        _compiled_cache.popitem(last=False)
+    _memo_put(_compiled_cache, series, (compiled, origin))
 
 
 def precompile(
@@ -352,34 +301,15 @@ def precompile(
     out: Dict[str, str] = {}
     started = perf_counter()
     for name, length in requests:
-        canonical = _canonical_name(name)
-        series = (canonical, seed)
-        entry = _compiled_cache.get(series)
-        if entry is not None and _serve(entry[0], length) is not None:
-            if not entry[0].has_dependences:
-                entry[0].attach_dependences(
-                    _dependence_info_for(entry[0], canonical, seed)
-                )
-            _compiled_cache[series] = (entry[0], "precompiled")
-            out[name] = "memo"
-            continue
-        store = active_trace_store()
-        compiled = (
-            store.load(canonical, length, seed, GENERATOR_VERSION)
-            if store is not None else None
-        )
-        if compiled is not None:
-            _remember_compiled(series, compiled, "precompiled")
-            out[name] = "store"
-            _trace_stats.store_hits += 1
-            continue
-        trace, kind = _generate(canonical, length, seed)
-        _trace_stats.generated += 1
-        compiled = _compile_with_dependences(trace, kind, length)
-        if store is not None:
-            store.save(compiled, seed, GENERATOR_VERSION)
-        _remember_compiled(series, compiled, "precompiled")
-        out[name] = "generated"
+        series = (_canonical_name(name), seed)
+        compiled, source = _lookup(series, length)
+        if compiled is None:
+            _persist(series, *_generate(series, length), length)
+            source = "generated"
+        out[name] = source
+        compiled = _compiled_cache[series][0]
+        _attach_dependences(compiled, series)
+        _compiled_cache[series] = (compiled, "precompiled")
     _trace_stats.trace_wall += perf_counter() - started
     return out
 
@@ -419,22 +349,19 @@ def _memo_put(memo: OrderedDict, key, value) -> None:
         memo.popitem(last=False)
 
 
-def _dependence_info_for(
-    compiled: CompiledTrace, canonical: str, seed: int
-) -> Dict[int, DependenceInfo]:
-    """Dependence info for a compiled entry, memoized by provenance."""
-    prov = (canonical, compiled.length, seed, GENERATOR_VERSION)
-    cached = _dep_cache.get(prov)
-    if cached is not None:
-        _dep_cache.move_to_end(prov)
-        return cached
-    info = (
-        compiled.dependence_info()
-        if compiled.has_dependences
-        else compiled.compute_dependence_info()
-    )
+def _attach_dependences(
+    compiled: CompiledTrace, series: Tuple[str, int]
+) -> None:
+    """Give a compiled entry without a dependence map one, memoized by
+    provenance."""
+    if compiled.has_dependences:
+        return
+    prov = (series[0], compiled.length, series[1], GENERATOR_VERSION)
+    info = _dep_cache.get(prov)
+    if info is None:
+        info = compiled.compute_dependence_info()
     _memo_put(_dep_cache, prov, info)
-    return info
+    compiled.attach_dependences(info)
 
 
 def get_dependence_info(trace: Trace) -> Dict[int, DependenceInfo]:
@@ -458,7 +385,7 @@ def get_dependence_info(trace: Trace) -> Dict[int, DependenceInfo]:
     info: Optional[Dict[int, DependenceInfo]] = None
     entry = _compiled_cache.get((prov[0], prov[2]))
     if entry is not None:
-        served = _serve(entry[0], prov[1])
+        served = serve(entry[0], prov[1])
         if served is not None and served.has_dependences:
             info = served.dependence_info()
     if info is None:

@@ -365,3 +365,47 @@ def test_parallel_all_fails_on_a_failing_cell(tmp_path, monkeypatch):
     events = [event["event"] for event in read_telemetry(telemetry)]
     assert "artifact_start" not in events
     assert events[-1] == "matrix_abort"
+
+
+def test_serial_failing_cell_ends_in_artifact_abort(
+    tmp_path, monkeypatch, capsys
+):
+    """A serial run whose cell raises records an ``artifact_abort``
+    and re-raises the error unchanged; ``status`` counts the abort."""
+    from repro.experiments.telemetry import read_telemetry
+    from repro.splitwindow.processor import SplitWindowProcessor
+
+    def planted(self):
+        raise ValueError("planted")
+
+    monkeypatch.setattr(SplitWindowProcessor, "run", planted)
+    telemetry = tmp_path / "run.jsonl"
+    with pytest.raises(ValueError, match="^planted$"):
+        cli.main(["figure7", *_SMALL, "--telemetry", str(telemetry)])
+    events = read_telemetry(telemetry)
+    assert [e["event"] for e in events] == [
+        "artifact_start", "artifact_abort",
+    ]
+    assert {k: events[-1][k] for k in ("artifact", "reason", "error")} == {
+        "artifact": "figure7", "reason": "ValueError", "error": "planted",
+    }
+    capsys.readouterr()
+    assert cli.main(["status", str(telemetry)]) == 0
+    assert "1 aborts" in capsys.readouterr().out
+
+
+def test_parallel_reports_store_served_cells(tmp_path, capsys):
+    """On a warm result store, ``--parallel`` says the store served
+    every cell and nothing was simulated."""
+    store = tmp_path / "store"
+    cli.main(["figure1", *_SMALL, "--store", str(store)])
+    clear_results()
+    capsys.readouterr()
+    cli.main(["figure1", *_SMALL, "--parallel", "2", "--store", str(store)])
+    summary = capsys.readouterr().out.splitlines()[0]
+    assert summary.startswith(
+        "  [72 cells of the requested artifacts with 2 workers"
+    ), summary
+    assert summary.endswith(": 0 simulated, 72 from the result store]"), (
+        summary
+    )

@@ -156,6 +156,80 @@ def test_failing_cell_fails_the_matrix(tmp_path, monkeypatch, workers):
     assert multiprocessing.active_children() == []
 
 
+#: Run by a child interpreter: the matrix of this module, over two
+#: workers, with every 107.mgrid cell SIGKILLing its own worker.
+_KILL_A_WORKER = """
+import multiprocessing, os, signal, sys
+from repro.experiments import runner
+from repro.experiments.parallel import run_matrix_parallel
+from tests.test_experiments_parallel import _BENCHES, _CONFIGS, _SETTINGS
+
+real = runner.run_benchmark
+
+def killing(name, config, *args, **kwargs):
+    if name == "107.mgrid":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real(name, config, *args, **kwargs)
+
+runner.run_benchmark = killing
+try:
+    run_matrix_parallel(
+        _BENCHES, _CONFIGS, _SETTINGS, workers=2, telemetry=sys.argv[1]
+    )
+except RuntimeError as exc:
+    print("raised:", exc)
+print("children:", len(multiprocessing.active_children()))
+"""
+
+
+def test_killed_worker_fails_the_matrix(tmp_path):
+    """A worker killed by a signal loses its shard; the matrix fails
+    with an error saying a worker died, ends the telemetry in
+    ``matrix_abort`` and leaves no process, instead of waiting for the
+    shard for ever. The matrix runs in a child interpreter in its own
+    session, so the kill cannot reach pytest and a hang is ended by
+    killing the whole session's process group."""
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    import repro
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {
+        k: v for k, v in os.environ.items() if not k.startswith("REPRO_")
+    }
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(repro.__file__)), root]
+    )
+    tele = tmp_path / "run.jsonl"
+    child = subprocess.Popen(
+        [sys.executable, "-c", _KILL_A_WORKER, str(tele)],
+        cwd=root, env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        out, err = child.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        pytest.fail("the matrix hung after a worker was killed")
+    try:
+        os.killpg(child.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass  # nothing of the session outlived the matrix
+    else:
+        pytest.fail("a process of the matrix outlived it")
+    assert child.returncode == 0, err
+    assert "raised: pool worker" in out, (out, err)
+    assert "died with exit code -9" in out
+    assert "children: 0" in out
+    events = read_telemetry(tele)
+    assert events[-1]["event"] == "matrix_abort"
+    assert "died" in events[-1]["error"]
+
+
 def test_warm_rerun_performs_zero_resimulations(tmp_path):
     """Acceptance: cold matrix, then a warm re-run served entirely
     from the persistent store — zero re-simulations, verified from

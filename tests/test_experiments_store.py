@@ -209,8 +209,7 @@ def test_store_corruption_triggers_resimulation(tmp_path):
 def test_env_var_activates_store(tmp_path, monkeypatch):
     monkeypatch.setenv(store_mod.STORE_ENV_VAR, str(tmp_path))
     # Clear the explicit-disable left by the fixture setup.
-    store_mod._explicitly_disabled = False
-    store_mod._active = None
+    monkeypatch.setattr(store_mod._selected, "disabled", False)
     active = store_mod.active_store()
     assert active is not None
     assert active.root == str(tmp_path)
@@ -272,3 +271,16 @@ def test_clear_and_prune_reach_older_schema_records(
     monkeypatch.setattr(store_mod, "SCHEMA_VERSION", store_mod.SCHEMA_VERSION + 1)
     assert store.clear() == 1
     assert not os.path.exists(old)
+
+
+def test_unwritable_store_still_returns_the_result(tmp_path):
+    # A regular file where the store root should be: every mkdir and
+    # open under it raises NotADirectoryError (chmod tricks do not
+    # work when the suite runs as root).
+    blocker = tmp_path / "blocker"
+    blocker.write_text("in the way")
+    store = set_store(blocker / "store")
+    result = run_benchmark("132.ijpeg", _CONFIG, _SETTINGS)
+    assert result.cycles > 0
+    assert cache_stats().simulations == 1
+    assert store.writes == 0

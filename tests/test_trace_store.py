@@ -209,8 +209,7 @@ def test_env_var_activates_store(tmp_path, monkeypatch):
     # Explicit disable wins over the environment.
     assert active_trace_store() is None
     # With no explicit setting, the environment provides the store.
-    monkeypatch.setattr(tracestore, "_active", None)
-    monkeypatch.setattr(tracestore, "_explicitly_disabled", False)
+    monkeypatch.setattr(tracestore._selected, "disabled", False)
     found = active_trace_store()
     assert found is not None
     assert found.root == str(tmp_path / "envstore")

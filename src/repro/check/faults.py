@@ -191,11 +191,9 @@ def _patch_commit_reorder(processor) -> None:
         entry = entries[index]
         del entries[index]
         del _window._by_seq[entry.seq]
-        inst = entry.inst
-        if inst.dest is not None and (
-            _window._last_writer.get(inst.dest) is entry
-        ):
-            del _window._last_writer[inst.dest]
+        dest = entry.inst.dest
+        if dest is not None and _window._last_writer[dest] is entry:
+            _window._last_writer[dest] = None
         return entry
 
     window.commit_head = reordered_commit_head

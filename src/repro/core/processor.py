@@ -283,6 +283,9 @@ class Processor:
 
         fetch = self.fetch
         buffer = fetch.buffer
+        buffer_cap = fetch._buffer_cap
+        cursor = self.cursor
+        trace_stop = cursor._stop
         entries = self.window._entries
         capacity = self.window.size
         events = self._events
@@ -304,9 +307,13 @@ class Processor:
             observer.begin_segment(self)
         cycle = self.cycle
         # A phase is entered only when it has work: each test below is
-        # the early exit the phase would otherwise take itself. The FU
-        # counters are reset for the issue phases and for observers
-        # (the utilisation sampler reads them every cycle).
+        # the early exit the phase would otherwise take itself. The
+        # pool tests are ``MemPool.__bool__`` (read through the pool:
+        # compaction re-binds ``_items``); the fetch test skips every
+        # state in which ``tick`` would fetch nothing and change
+        # nothing. The FU counters are reset for the issue phases and
+        # for observers (the utilisation sampler reads them every
+        # cycle).
         while entries or events or not fetch.done:
             if self._progress or ready_heap:
                 self._progress = False
@@ -324,7 +331,9 @@ class Processor:
                 )
                 if done is not None and done <= cycle:
                     commit()
-            memory_work = bool(load_pool) or (as_mode and bool(write_pool))
+            memory_work = len(load_pool._items) > load_pool._dead or (
+                as_mode and len(write_pool._items) > write_pool._dead
+            )
             if memory_work or ready_heap or observer is not None:
                 begin_cycle(cycle)
             if memory_work:
@@ -335,7 +344,13 @@ class Processor:
                 len(entries) < capacity
             ):
                 dispatch()
-            if fetch_tick(cycle):
+            if (
+                len(buffer) < buffer_cap
+                and fetch.waiting_on_branch is None
+                and cycle >= fetch.stalled_until
+                and cursor._pos < trace_stop
+                and fetch_tick(cycle)
+            ):
                 self._progress = True
             if cycle >= self._next_flush:
                 maybe_flush()
@@ -792,12 +807,10 @@ class Processor:
 
     def _issue_exec(self) -> None:
         funits = self.funits
-        pool = self.ready_pool
+        heap = self.ready_pool._heap
+        heappop = heapq.heappop
         cycle = self.cycle
         as_mode = self.as_mode
-        pop = pool.pop
-        can_issue = funits.can_issue_unit
-        take_issue = funits.take_issue_unit
         latencies = self._latencies
         events = self._events
         next_serial = self._next_serial
@@ -806,11 +819,20 @@ class Processor:
         progress = False
         scans = self._scan_budget
         issue_width = funits._issue_width
-        while funits._issued < issue_width and scans:
+        fu_copies = funits._fu_copies
+        # The slot and FU counters are kept in locals for the loop and
+        # written back before the deferred entries are re-pushed.
+        issued = funits._issued
+        int_used = funits._int_used
+        fp_used = funits._fp_used
+        while issued < issue_width and scans and heap:
+            # ``ReadyPool.pop``, inlined: a squashed entry leaves the
+            # heap without costing a scan.
+            entry = heappop(heap)[1]
+            entry.in_ready_pool = False
+            if entry.squashed:
+                continue
             scans -= 1
-            entry = pop()
-            if entry is None:
-                break
             nas_store = entry.is_store and not as_mode
             if nas_store:
                 if entry.addr_pending or entry.data_pending:
@@ -825,7 +847,8 @@ class Processor:
             if ready_at > cycle:
                 self._schedule(ready_at, _EV_READY, entry)
                 continue
-            if not can_issue(entry.uses_fp_unit):
+            fp = entry.uses_fp_unit
+            if (fp_used if fp else int_used) >= fu_copies:
                 deferred.append(entry)
                 continue
             if nas_store:
@@ -843,18 +866,20 @@ class Processor:
                 if not funits.can_access_memory():
                     deferred.append(entry)
                     continue
-                take_issue(entry.uses_fp_unit)
                 funits.take_port()
+            issued += 1
+            if fp:
+                fp_used += 1
+            else:
+                int_used += 1
+            if nas_store:
                 self._do_issue_store_nas(entry)
             elif entry.is_store:
-                take_issue(entry.uses_fp_unit)
                 self._do_issue_store_agen_as(entry)
             elif entry.is_load:
-                take_issue(entry.uses_fp_unit)
                 self._do_issue_load_agen(entry)
             else:
                 # ALU op: completes after its class's latency.
-                take_issue(entry.uses_fp_unit)
                 entry.issue_cycle = cycle
                 done = cycle + latencies[entry.inst.op.index]
                 entry.complete_cycle = done
@@ -864,8 +889,11 @@ class Processor:
                 if observer is not None:
                     observer.emit_issue(entry, cycle)
             progress = True
+        funits._issued = issued
+        funits._int_used = int_used
+        funits._fp_used = fp_used
         if deferred:
-            push = pool.push
+            push = self.ready_pool.push
             for entry in deferred:
                 push(entry)
             progress = True
@@ -937,7 +965,9 @@ class Processor:
         hint = self._hint
         progress = False
         observer = self.observer
-        ports_left = funits.ports_left
+        # Ports are counted in a local and written back after the scan.
+        memory_ports = funits._memory_ports
+        ports_used = funits._ports_used
         # NO/SEL gate on the oldest unexecuted store, STORE on the
         # oldest unexecuted *barrier* store. Both trackers are constant
         # for the duration of the scan (NAS stores execute in
@@ -952,7 +982,7 @@ class Processor:
         window_get = self.window.get
         note_fd_wait = self._note_fd_wait
         for entry in candidates:
-            if not ports_left:
+            if ports_used >= memory_ports:
                 progress = True  # ports exhausted: retry next cycle
                 break
             if entry.is_store:
@@ -964,8 +994,7 @@ class Processor:
                     if hint is None or ready < hint:
                         hint = ready
                     continue
-                ports_left -= 1
-                funits.take_port()
+                ports_used += 1
                 self.store_write_pool.remove(entry)
                 entry.write_cycle = cycle + 1
                 entry.complete_cycle = entry.write_cycle
@@ -1068,11 +1097,11 @@ class Processor:
                 entry.fd_resolved_cycle is None
             ):
                 entry.fd_resolved_cycle = cycle
-            ports_left -= 1
-            funits.take_port()
+            ports_used += 1
             self.load_pool.remove(entry)
             self._access_memory(entry)
             progress = True
+        funits._ports_used = ports_used
         self._hint = hint
         if progress:
             self._progress = True

@@ -34,7 +34,7 @@ class ReadyPool:
         return bool(self._heap)
 
     def pop(self) -> Optional[Entry]:
-        """Oldest live entry, or None."""
+        """Oldest live entry, or None (``_issue_exec`` inlines this)."""
         while self._heap:
             _, entry = heapq.heappop(self._heap)
             entry.in_ready_pool = False
@@ -55,6 +55,11 @@ class FunctionalUnits:
     We model two pools (integer + branch + AGU, and floating point), each
     accepting ``fu_copies`` new operations per cycle, under a shared
     ``issue_width`` cap; memory accesses are limited by ``memory_ports``.
+
+    The processor's issue loops read and write the counters directly:
+    ``_issue_exec`` keeps the slot and FU counts in locals and
+    ``_issue_memory`` the port count, each writing them back before
+    anything else reads them.
     """
 
     def __init__(self, config: WindowConfig) -> None:
@@ -95,24 +100,16 @@ class FunctionalUnits:
 
     def can_issue(self, op: OpClass) -> bool:
         """Would an op of class *op* find a slot and a unit this cycle?"""
-        return self.can_issue_unit(op in FP_CLASSES)
-
-    def can_issue_unit(self, uses_fp: bool) -> bool:
-        """``can_issue`` with the FP-pool membership already resolved."""
         if self._issued >= self._issue_width:
             return False
-        if uses_fp:
+        if op in FP_CLASSES:
             return self._fp_used < self._fu_copies
         return self._int_used < self._fu_copies
 
     def take_issue(self, op: OpClass) -> None:
         """Consume one issue slot plus the matching FU."""
-        self.take_issue_unit(op in FP_CLASSES)
-
-    def take_issue_unit(self, uses_fp: bool) -> None:
-        """``take_issue`` with the FP-pool membership already resolved."""
         self._issued += 1
-        if uses_fp:
+        if op in FP_CLASSES:
             self._fp_used += 1
         else:
             self._int_used += 1

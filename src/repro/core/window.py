@@ -13,7 +13,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.isa.instruction import DynInst
 from repro.isa.opcodes import OpClass
-from repro.isa.registers import REG_ZERO
+from repro.isa.registers import REG_ZERO, TOTAL_REGS
 
 
 class Entry:
@@ -108,7 +108,14 @@ class Entry:
 
 
 class Window:
-    """Program-ordered window with a register rename map."""
+    """Program-ordered window with a register rename map.
+
+    The rename map ``_last_writer`` is a list indexed by flat register
+    number (``repro.isa.registers``) holding each register's youngest
+    in-flight writer, or None. ``REG_ZERO``'s slot is never written.
+    Traces reject register indices outside ``0..TOTAL_REGS-1``, so a
+    source can be looked up without a range test.
+    """
 
     def __init__(self, size: int) -> None:
         if size < 1:
@@ -116,7 +123,7 @@ class Window:
         self.size = size
         self._entries: Deque[Entry] = deque()
         self._by_seq: Dict[int, Entry] = {}
-        self._last_writer: Dict[int, Entry] = {}
+        self._last_writer: List[Optional[Entry]] = [None] * TOTAL_REGS
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -156,11 +163,9 @@ class Window:
         last_writer = self._last_writer
         is_store = entry.is_store
         for index, src in enumerate(inst.srcs):
-            if src == REG_ZERO:
-                continue
             # A store's data operand is its second source by convention.
             is_data = is_store and index == 1
-            producer = last_writer.get(src)
+            producer = last_writer[src]
             if producer is None or producer.squashed:
                 continue
             if entry.producers:
@@ -193,11 +198,9 @@ class Window:
         """Remove and return the oldest entry."""
         entry = self._entries.popleft()
         del self._by_seq[entry.seq]
-        if (
-            entry.inst.dest is not None
-            and self._last_writer.get(entry.inst.dest) is entry
-        ):
-            del self._last_writer[entry.inst.dest]
+        dest = entry.inst.dest
+        if dest is not None and self._last_writer[dest] is entry:
+            self._last_writer[dest] = None
         return entry
 
     def squash_from(self, seq: int) -> List[Entry]:
@@ -221,8 +224,8 @@ class Window:
             del by_seq[entry.seq]
             squashed.append(entry)
             dest = entry.inst.dest
-            if dest is not None and last_writer.get(dest) is entry:
-                del last_writer[dest]
+            if dest is not None and last_writer[dest] is entry:
+                last_writer[dest] = None
                 if dirty is None:
                     dirty = set()
                 dirty.add(dest)
@@ -239,4 +242,4 @@ class Window:
     def clear(self) -> None:
         self._entries.clear()
         self._by_seq.clear()
-        self._last_writer.clear()
+        self._last_writer = [None] * TOTAL_REGS

@@ -232,7 +232,7 @@ def _dispatch(argv=None) -> int:
         set_trace_store(args.trace_store)
 
     from repro.experiments.runner import (
-        cache_stats, observe_planned, plan_cells,
+        cache_stats, observe_planned, plan_cells, pop_cell_note,
     )
     from repro.experiments.telemetry import TelemetryWriter
 
@@ -267,11 +267,20 @@ def _dispatch(argv=None) -> int:
                 print(f"\n  [{name} regenerated in {elapsed:.1f}s]\n")
                 _export(report, name, args.json, args.csv)
             except BaseException as exc:
-                # Record why the stream stops, then re-raise unchanged.
+                # Record why the stream stops, then re-raise unchanged:
+                # the failing cell's note goes to the record and to
+                # stderr, not out with the exception.
+                cell = pop_cell_note(exc)
                 writer.emit(
                     "artifact_abort", artifact=name,
-                    reason=type(exc).__name__, error=str(exc),
+                    reason=type(exc).__name__, error=str(exc), cell=cell,
                 )
+                if cell is not None:
+                    print(
+                        f"{name}: cell {cell} raised "
+                        f"{type(exc).__name__}",
+                        file=sys.stderr,
+                    )
                 raise
 
     if args.observe:

@@ -25,6 +25,7 @@ cell simulates it observed, once.
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace as _dc_replace
 from typing import (
@@ -272,35 +273,76 @@ def run_benchmark(
             return _as_requested(restored, observe)
     if not observe and key in _observe_plan:
         config = _dc_replace(config, observe=True)
-    plan = _plan_for(name, settings)
-    if config.split.enabled:
-        # The split-window model has no functional-warm mode; its caches
-        # warm during the run, and comparisons against it use the same
-        # treatment on both sides.
-        backend_name = "split"
-        trace = get_trace(name, plan.length, settings.seed)
-        info = _dependences_for_length(
-            name, plan.length, settings.seed, trace=trace
-        )
-        result = SplitWindowProcessor(config, trace, info).run()
-    elif backend_name == "vector" and vector_limitation(config) is None:
-        from repro.core.vector import VectorProcessor
-
-        compiled = get_compiled(name, plan.length, settings.seed)
-        result = VectorProcessor(config, compiled).run(plan)
-    else:
-        backend_name = "reference"
-        trace = get_trace(name, plan.length, settings.seed)
-        info = _dependences_for_length(
-            name, plan.length, settings.seed, trace=trace
-        )
-        result = Processor(config, trace, info).run(plan)
+    try:
+        backend_name, result = _simulate(name, config, settings, backend_name)
+    except BaseException as exc:
+        # Name the cell and re-raise unchanged: callers match on the
+        # exception's type, and a serial run has no other record of
+        # which cell failed.
+        _note_cell(exc, f"{name} / {config.label}")
+        raise
     result.extra["backend"] = backend_name
     _cache_stats.simulations += 1
     _result_cache[key] = result
     if store is not None:
         store.save(name, settings, config_key, result)
     return _as_requested(result, observe)
+
+
+def _simulate(
+    name: str,
+    config: ProcessorConfig,
+    settings: ExperimentSettings,
+    backend_name: str,
+) -> Tuple[str, SimResult]:
+    """Simulate one cell; returns the backend that ran it and the result."""
+    plan = _plan_for(name, settings)
+    if config.split.enabled:
+        # The split-window model has no functional-warm mode; its caches
+        # warm during the run, and comparisons against it use the same
+        # treatment on both sides.
+        trace = get_trace(name, plan.length, settings.seed)
+        info = _dependences_for_length(
+            name, plan.length, settings.seed, trace=trace
+        )
+        return "split", SplitWindowProcessor(config, trace, info).run()
+    if backend_name == "vector" and vector_limitation(config) is None:
+        from repro.core.vector import VectorProcessor
+
+        compiled = get_compiled(name, plan.length, settings.seed)
+        return "vector", VectorProcessor(config, compiled).run(plan)
+    trace = get_trace(name, plan.length, settings.seed)
+    info = _dependences_for_length(
+        name, plan.length, settings.seed, trace=trace
+    )
+    return "reference", Processor(config, trace, info).run(plan)
+
+
+#: How :func:`run_benchmark` names a failing cell in the exception's
+#: notes: ``cell BENCH / LABEL``, the form ``--parallel`` prints.
+_CELL_NOTE = "cell "
+
+
+def _note_cell(exc: BaseException, cell: str) -> None:
+    note = _CELL_NOTE + cell
+    if sys.version_info >= (3, 11):
+        exc.add_note(note)
+    else:
+        exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
+
+
+def pop_cell_note(exc: BaseException) -> Optional[str]:
+    """Take :func:`run_benchmark`'s ``cell BENCH / LABEL`` note off
+    *exc* and return ``BENCH / LABEL``; None if *exc* has no such note.
+    """
+    notes = getattr(exc, "__notes__", None) or []
+    for note in notes:
+        if isinstance(note, str) and note.startswith(_CELL_NOTE):
+            notes.remove(note)
+            if not notes:
+                del exc.__notes__
+            return note[len(_CELL_NOTE):]
+    return None
 
 
 def _dependences_for_length(name: str, length: int, seed: int, trace=None):

@@ -25,7 +25,8 @@ same counters aggregated over the whole matrix, which is how "a warm
 re-run performed zero re-simulations" is verified mechanically;
 ``matrix_abort`` carries them so far, with ``reason`` (the exception
 type) and ``error`` (its message, which names a failing cell);
-``artifact_abort`` carries ``artifact``, ``reason`` and ``error``. The
+``artifact_abort`` carries ``artifact``, ``reason``, ``error`` and
+``cell`` (``BENCH / LABEL`` when a simulation raised, else null). The
 pooled runner additionally emits one ``trace_precompile`` event before
 forking, counting how many benchmark traces came from the in-process
 memo, the persistent trace store, or fresh generation.

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.isa.opcodes import OpClass, is_branch, is_mem
+from repro.isa.registers import TOTAL_REGS
 
 
 @dataclass(frozen=True)
@@ -28,11 +29,17 @@ class StaticInst:
     mnemonic: str = ""
 
     def __post_init__(self) -> None:
-        if self.dest is not None and self.dest < 0:
-            raise ValueError("dest register must be non-negative")
+        if self.dest is not None and not 0 <= self.dest < TOTAL_REGS:
+            raise ValueError(
+                f"dest register {self.dest} is outside "
+                f"0..{TOTAL_REGS - 1}"
+            )
         for src in self.srcs:
-            if src < 0:
-                raise ValueError("source registers must be non-negative")
+            if not 0 <= src < TOTAL_REGS:
+                raise ValueError(
+                    f"source register {src} is outside "
+                    f"0..{TOTAL_REGS - 1}"
+                )
 
 
 @dataclass

@@ -193,13 +193,18 @@ class ObserverBus:
     # -- lifecycle events (hook API; one method per hook point) ----------
 
     def _emit(
-        self, kind: int, cycle: int, seq: int, pc: int, op: str, info
+        self, kind: int, cycle: int, seq: int, pc: int, op, info
     ) -> None:
+        """Count one event; build it only if an event sink takes it.
+
+        *op* is the :class:`~repro.isa.opcodes.OpClass`: its ``name``
+        (an ``Enum`` property) is read only for a built event.
+        """
         self.events_emitted += 1
         sinks = self._event_sinks
         if not sinks:
             return
-        event = ObservedEvent(kind, cycle, seq, pc, op, info)
+        event = ObservedEvent(kind, cycle, seq, pc, op.name, info)
         for sink in sinks:
             sink.on_event(event)
 
@@ -207,25 +212,21 @@ class ObserverBus:
         if self._raw_sinks:
             for sink in self._raw_sinks:
                 sink.raw_fetch(inst, cycle)
-        self._emit(EV_FETCH, cycle, inst.seq, inst.pc, inst.op.name, None)
+        self._emit(EV_FETCH, cycle, inst.seq, inst.pc, inst.op, None)
 
     def emit_dispatch(self, entry, cycle: int) -> None:
         if self._raw_sinks:
             for sink in self._raw_sinks:
                 sink.raw_dispatch(entry, cycle)
         inst = entry.inst
-        self._emit(
-            EV_DISPATCH, cycle, entry.seq, inst.pc, inst.op.name, None
-        )
+        self._emit(EV_DISPATCH, cycle, entry.seq, inst.pc, inst.op, None)
 
     def emit_issue(self, entry, cycle: int) -> None:
         if self._raw_sinks:
             for sink in self._raw_sinks:
                 sink.raw_issue(entry, cycle)
         inst = entry.inst
-        self._emit(
-            EV_ISSUE, cycle, entry.seq, inst.pc, inst.op.name, None
-        )
+        self._emit(EV_ISSUE, cycle, entry.seq, inst.pc, inst.op, None)
 
     def emit_mem_issue(
         self, entry, cycle: int, forwarded: bool
@@ -235,7 +236,7 @@ class ObserverBus:
                 sink.raw_mem_issue(entry, cycle, forwarded)
         inst = entry.inst
         self._emit(
-            EV_MEM_ISSUE, cycle, entry.seq, inst.pc, inst.op.name,
+            EV_MEM_ISSUE, cycle, entry.seq, inst.pc, inst.op,
             {"forwarded": forwarded},
         )
 
@@ -245,7 +246,7 @@ class ObserverBus:
                 sink.raw_blocked(entry, cycle, cause)
         inst = entry.inst
         self._emit(
-            EV_BLOCKED, cycle, entry.seq, inst.pc, inst.op.name,
+            EV_BLOCKED, cycle, entry.seq, inst.pc, inst.op,
             {"cause": cause},
         )
 
@@ -257,7 +258,7 @@ class ObserverBus:
                 sink.raw_squash(load, store, cycle, squashed, resume)
         inst = load.inst
         self._emit(
-            EV_SQUASH, cycle, load.seq, inst.pc, inst.op.name,
+            EV_SQUASH, cycle, load.seq, inst.pc, inst.op,
             {
                 "store_seq": store.seq,
                 "squashed": squashed,
@@ -273,7 +274,7 @@ class ObserverBus:
                 sink.raw_replay(load, cycle, reexecuted)
         inst = load.inst
         self._emit(
-            EV_REPLAY, cycle, load.seq, inst.pc, inst.op.name,
+            EV_REPLAY, cycle, load.seq, inst.pc, inst.op,
             {"reexecuted": reexecuted},
         )
 

@@ -268,13 +268,14 @@ class StallAccountant:
         # the oldest entry's cause is not itself a gate wait, the
         # policy gate is charged if any load sits gate-blocked this
         # cycle (oldest such load wins).
-        for entry in entries:
-            if (
-                not entry.is_load
-                or not entry.in_mem_pool
-                or entry.mem_issue_cycle is not None
-                or entry.issue_cycle is None
-            ):
+        #
+        # The gate-blocked candidates are the load pool's live loads:
+        # issued for address generation, no memory access yet. The
+        # pool's item list is seq-sorted; it is read in place, because
+        # ``live_entries()`` compacts it and a passive observer must
+        # not change processor state.
+        for _, _, entry in processor.load_pool._items:
+            if not entry.in_mem_pool or entry.squashed:
                 continue
             agen = entry.agen_done
             if agen is None or agen > cycle:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.isa.instruction import DynInst, TraceSummary
+from repro.isa.registers import TOTAL_REGS
 
 
 @dataclass
@@ -34,12 +35,29 @@ class Trace:
     )
 
     def __post_init__(self) -> None:
+        # The timing core indexes its rename map by register number, so
+        # an index outside the flat namespace would alias another
+        # register (-1 reads slot 66) instead of failing.
+        registers = range(TOTAL_REGS)
         for i, inst in enumerate(self.instructions):
             if inst.seq != i:
                 raise ValueError(
                     f"trace {self.name}: instruction {i} has seq "
                     f"{inst.seq}; sequence numbers must be 0..N-1"
                 )
+            dest = inst.dest
+            if dest is not None and dest not in registers:
+                raise ValueError(
+                    f"trace {self.name}: instruction {i} has destination "
+                    f"register {dest}; registers are 0..{TOTAL_REGS - 1}"
+                )
+            for src in inst.srcs:
+                if src not in registers:
+                    raise ValueError(
+                        f"trace {self.name}: instruction {i} has source "
+                        f"register {src}; registers are "
+                        f"0..{TOTAL_REGS - 1}"
+                    )
 
     @classmethod
     def trusted(
@@ -49,11 +67,13 @@ class Trace:
         suite: Optional[str] = None,
         provenance: Optional[Tuple[str, int, int, str]] = None,
     ) -> "Trace":
-        """Construct without the O(n) seq re-validation.
+        """Construct without the O(n) seq and register validation.
 
-        For producers that guarantee ``seq == index`` by construction
-        (the compiled-trace materializer); everything else should use
-        the normal constructor.
+        For producers that guarantee ``seq == index`` and register
+        indices in ``0..TOTAL_REGS-1`` by construction: the
+        compiled-trace materializer, and the synthetic generator
+        (``seq=len(out)``, registers from ``int_reg``/``fp_reg``).
+        Everything else should use the normal constructor.
         """
         trace = cls.__new__(cls)
         trace.instructions = instructions

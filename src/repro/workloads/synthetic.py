@@ -505,7 +505,9 @@ class SyntheticProgram:
                     target=self._loops[0].preamble[0].pc,
                 ))
         del out[length:]
-        return Trace(out, name=self.profile.name, suite=self.profile.suite)
+        return Trace.trusted(
+            out, name=self.profile.name, suite=self.profile.suite
+        )
 
     def _emit_loop(self, loop, rng, mem, out, length, store_value) -> None:
         profile = self.profile

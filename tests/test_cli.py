@@ -394,6 +394,36 @@ def test_serial_failing_cell_ends_in_artifact_abort(
     assert "1 aborts" in capsys.readouterr().out
 
 
+def test_serial_failing_cell_is_named(tmp_path, monkeypatch, capsys):
+    """A serial run whose cell raises names the cell in its
+    ``artifact_abort`` record and on stderr; the exception itself
+    leaves unchanged."""
+    from repro.experiments.telemetry import read_telemetry
+    from repro.splitwindow.processor import SplitWindowProcessor
+
+    failed = []
+
+    def planted(self):
+        assert self.config.split.enabled
+        failed.append(f"{self.trace.name} / {self.config.label}")
+        raise ValueError("planted")
+
+    monkeypatch.setattr(SplitWindowProcessor, "run", planted)
+    telemetry = tmp_path / "run.jsonl"
+    with pytest.raises(ValueError, match="^planted$") as excinfo:
+        cli.main(["figure7", *_SMALL, "--telemetry", str(telemetry)])
+    assert type(excinfo.value) is ValueError
+    assert excinfo.value.args == ("planted",)
+    assert not hasattr(excinfo.value, "__notes__")
+    assert len(failed) == 1
+    abort = read_telemetry(telemetry)[-1]
+    assert abort["event"] == "artifact_abort"
+    assert abort["cell"] == failed[0]
+    assert f"figure7: cell {failed[0]} raised ValueError" in (
+        capsys.readouterr().err
+    )
+
+
 def test_parallel_reports_store_served_cells(tmp_path, capsys):
     """On a warm result store, ``--parallel`` says the store served
     every cell and nothing was simulated."""

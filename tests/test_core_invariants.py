@@ -84,3 +84,58 @@ def test_window_never_overflows(recurrence_trace):
     processor._dispatch = watched
     processor.run()
     assert 0 < max_seen <= config.window.size
+
+
+class _LimitSink:
+    """Cycle sink asserting the issue counters the core writes back."""
+
+    wants_events = False
+    wants_cycles = True
+    summary_key = None
+
+    def __init__(self, window) -> None:
+        self.window = window
+        self.peak_int = 0
+        self.peak_ports = 0
+
+    def on_segment(self, processor) -> None:
+        pass
+
+    def on_squash(self, resume_cycle: int) -> None:
+        pass
+
+    def on_cycle(self, processor) -> None:
+        funits = processor.funits
+        window = self.window
+        issued = funits.issued_this_cycle
+        ports = funits.ports_used_this_cycle
+        assert issued <= window.issue_width, "issue width exceeded"
+        assert funits._int_used <= window.fu_copies, "int FUs over"
+        assert funits._fp_used <= window.fu_copies, "FP FUs over"
+        assert funits._int_used + funits._fp_used == issued
+        assert ports <= window.memory_ports, "memory ports exceeded"
+        self.peak_int = max(self.peak_int, funits._int_used)
+        self.peak_ports = max(self.peak_ports, ports)
+
+
+@pytest.mark.parametrize("scheduling,policy", [
+    (SchedulingModel.NAS, SpeculationPolicy.NAIVE),
+    (SchedulingModel.NAS, SpeculationPolicy.ORACLE),
+    (SchedulingModel.AS, SpeculationPolicy.NAIVE),
+])
+def test_issue_counters_stay_within_limits(scheduling, policy, memcopy_trace):
+    # The issue loops keep these counters in locals and write them back
+    # at the end of each loop; every cycle's totals must respect the
+    # machine's limits, and the narrow machine must reach them (memcopy
+    # is all integer ops, so its two integer units bind before the
+    # issue width does).
+    from repro.observe import ObserverBus
+
+    config = continuous_window_64(scheduling, policy)
+    sink = _LimitSink(config.window)
+    result = Processor(
+        config, memcopy_trace, observer=ObserverBus([sink])
+    ).run()
+    assert result.committed == len(memcopy_trace)
+    assert sink.peak_int == config.window.fu_copies
+    assert sink.peak_ports == config.window.memory_ports

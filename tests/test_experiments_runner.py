@@ -234,3 +234,25 @@ def test_parallel_fold_keeps_an_observed_result():
     assert "observe" not in out["plain"]["132.ijpeg"].extra
     key = ("132.ijpeg", _SETTINGS, runner._config_key(config))
     assert runner._result_cache[key] is observed
+
+
+def test_failing_simulation_is_noted_with_its_cell(monkeypatch):
+    """An exception that leaves a simulation keeps its type and message
+    and gains a ``cell BENCH / LABEL`` note, which ``pop_cell_note``
+    takes back off."""
+    from repro.core.processor import Processor
+    from repro.experiments.runner import pop_cell_note
+
+    def planted(self, plan=None):
+        raise ValueError("planted")
+
+    monkeypatch.setattr(Processor, "run", planted)
+    config = continuous_window_128()
+    with pytest.raises(ValueError) as excinfo:
+        run_benchmark("132.ijpeg", config, _SETTINGS)
+    exc = excinfo.value
+    assert exc.args == ("planted",)
+    assert exc.__notes__ == [f"cell 132.ijpeg / {config.label}"]
+    assert pop_cell_note(exc) == f"132.ijpeg / {config.label}"
+    assert not hasattr(exc, "__notes__")
+    assert pop_cell_note(exc) is None

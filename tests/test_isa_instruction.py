@@ -15,6 +15,14 @@ def test_static_inst_validation():
         StaticInst(pc=0, op=OpClass.IALU, srcs=(-2,))
 
 
+def test_static_inst_rejects_registers_past_the_namespace():
+    StaticInst(pc=0, op=OpClass.IALU, dest=66, srcs=(0, 66))
+    with pytest.raises(ValueError, match="dest register 67"):
+        StaticInst(pc=0, op=OpClass.IALU, dest=67)
+    with pytest.raises(ValueError, match="source register 70"):
+        StaticInst(pc=0, op=OpClass.IALU, srcs=(1, 70))
+
+
 def test_dyninst_memory_requires_address():
     with pytest.raises(ValueError):
         DynInst(seq=0, pc=0, op=OpClass.LOAD)

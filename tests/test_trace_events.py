@@ -25,6 +25,32 @@ def test_sequence_numbers_validated():
         Trace([DynInst(seq=5, pc=0, op=OpClass.IALU)])
 
 
+@pytest.mark.parametrize("inst,register", [
+    (DynInst(seq=0, pc=0, op=OpClass.IALU, dest=1, srcs=(-1,)), "-1"),
+    (DynInst(seq=0, pc=0, op=OpClass.IALU, dest=67, srcs=(2,)), "67"),
+])
+def test_register_indices_validated(inst, register):
+    # The rename map is a list indexed by register number: -1 would
+    # alias FSR (66) and 67 is past its end, so both are rejected.
+    with pytest.raises(ValueError, match=f"register {register};"):
+        Trace([inst], name="bad-registers")
+
+
+def test_synthetic_traces_stay_in_the_register_namespace():
+    # The generator builds with Trace.trusted, which skips validation.
+    from repro.isa.registers import TOTAL_REGS
+    from repro.workloads.catalog import get_trace
+
+    for name in ("126.gcc", "102.swim"):
+        trace = get_trace(name, 2_000, seed=0)
+        assert [inst.seq for inst in trace] == list(range(len(trace)))
+        for inst in trace:
+            regs = inst.srcs if inst.dest is None else (
+                inst.dest, *inst.srcs
+            )
+            assert all(0 <= reg < TOTAL_REGS for reg in regs)
+
+
 def test_indexing_and_iteration():
     trace = _mini_trace()
     assert len(trace) == 3

@@ -37,7 +37,6 @@ def _window(size: int) -> WindowConfig:
         issue_width=min(8, 2 * scale),
         memory_ports=min(4, scale),
         fu_copies=min(8, 2 * scale),
-        store_buffer_size=size,
     )
 
 

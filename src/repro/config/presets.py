@@ -58,7 +58,6 @@ def continuous_window_64(
         issue_width=4,
         memory_ports=2,
         fu_copies=2,
-        store_buffer_size=64,
     )
     return replace(base, window=window)
 

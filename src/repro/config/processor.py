@@ -116,7 +116,6 @@ class WindowConfig:
     memory_ports: int = 4
     #: Copies of every functional unit (all fully pipelined).
     fu_copies: int = 8
-    store_buffer_size: int = 128
 
     def __post_init__(self) -> None:
         # With none of any of these some instruction can never issue,

@@ -256,9 +256,10 @@ class Processor:
         self.ready_pool = ReadyPool()
         self.load_pool = MemPool("load-pool", observer)
         self.store_write_pool = MemPool("store-write-pool", observer)
-        self.store_buffer = StoreBuffer(
-            cfg.window.store_buffer_size, observer
-        )
+        # As many entries as the window: a full buffer then always
+        # holds a committed store to evict, since the window cannot
+        # hold more stores than it has entries.
+        self.store_buffer = StoreBuffer(cfg.window.size, observer)
         self.unexec_stores = UnexecutedStoreTracker()
         self.barrier_stores = UnexecutedStoreTracker()
         self.synonyms = SynonymTracker()

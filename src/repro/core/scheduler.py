@@ -12,7 +12,6 @@ from typing import List, Optional
 
 from repro.config.processor import WindowConfig
 from repro.core.window import Entry
-from repro.isa.opcodes import FP_CLASSES, OpClass
 
 
 class ReadyPool:
@@ -49,21 +48,22 @@ class ReadyPool:
 
 
 class FunctionalUnits:
-    """Per-cycle functional-unit and bandwidth accounting.
+    """Per-cycle functional-unit and bandwidth counters.
 
     Table 2: "8 copies of all functional units. All are fully-pipelined."
     We model two pools (integer + branch + AGU, and floating point), each
     accepting ``fu_copies`` new operations per cycle, under a shared
     ``issue_width`` cap; memory accesses are limited by ``memory_ports``.
 
-    The processor's issue loops read and write the counters directly:
+    The processor's issue loops apply these limits themselves:
     ``_issue_exec`` keeps the slot and FU counts in locals and
-    ``_issue_memory`` the port count, each writing them back before
-    anything else reads them.
+    ``_issue_memory`` the port count, each writing them back here before
+    anything else reads them. Only the NAS stores that ``_issue_exec``
+    issues take their port through :meth:`can_access_memory` and
+    :meth:`take_port`.
     """
 
     def __init__(self, config: WindowConfig) -> None:
-        self.config = config
         # Hot-path copies: the per-cycle issue loops read these limits
         # many times and the config is immutable.
         self._issue_width = config.issue_width
@@ -83,36 +83,12 @@ class FunctionalUnits:
         self._ports_used = 0
 
     @property
-    def issue_slots_left(self) -> int:
-        return self._issue_width - self._issued
-
-    @property
-    def ports_left(self) -> int:
-        return self._memory_ports - self._ports_used
-
-    @property
     def issued_this_cycle(self) -> int:
         return self._issued
 
     @property
     def ports_used_this_cycle(self) -> int:
         return self._ports_used
-
-    def can_issue(self, op: OpClass) -> bool:
-        """Would an op of class *op* find a slot and a unit this cycle?"""
-        if self._issued >= self._issue_width:
-            return False
-        if op in FP_CLASSES:
-            return self._fp_used < self._fu_copies
-        return self._int_used < self._fu_copies
-
-    def take_issue(self, op: OpClass) -> None:
-        """Consume one issue slot plus the matching FU."""
-        self._issued += 1
-        if op in FP_CLASSES:
-            self._fp_used += 1
-        else:
-            self._int_used += 1
 
     def can_access_memory(self) -> bool:
         return self._ports_used < self._memory_ports

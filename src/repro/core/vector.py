@@ -704,7 +704,7 @@ class VectorProcessor:
         self.swp_dead = 0
         self.swp_live: Optional[List[int]] = None
         self._mp_serial = 0
-        self.store_buffer = StoreBuffer(cfg.window.store_buffer_size)
+        self.store_buffer = StoreBuffer(cfg.window.size)
         self.unexec_stores = UnexecutedStoreTracker()
         self.barrier_stores = UnexecutedStoreTracker()
         self._syn: Dict[int, List] = {}   # synonym -> [(seq, ref)]

@@ -284,11 +284,16 @@ def _dispatch(argv=None) -> int:
                 raise
 
     if args.observe:
+        from repro.config import SchedulingModel, SpeculationPolicy
+        from repro.config.presets import continuous_window_128
         from repro.workloads.spec95 import ALL_BENCHMARKS
 
         _observe_bundle(
-            ALL_BENCHMARKS[0], "NAS", "NAV", 128, 0, settings,
-            args.observe, limit=20_000,
+            ALL_BENCHMARKS[0],
+            continuous_window_128(
+                SchedulingModel.NAS, SpeculationPolicy.NAIVE
+            ),
+            settings, args.observe, limit=20_000,
         )
     return 0
 
@@ -301,17 +306,66 @@ def _require_at_least(parser, bounds) -> None:
             parser.error(f"{flag} must be >= {least} (got {value})")
 
 
+def _add_cell_arguments(
+    parser: argparse.ArgumentParser, timing: int, warmup: int
+) -> None:
+    """The arguments that name one cell: its machine (read by
+    :func:`_cell_config`), its run length, with this command's
+    *timing* and *warmup* defaults, and its workload seed."""
+    parser.add_argument(
+        "--scheduling", choices=("NAS", "AS"), default="NAS",
+        help="address-based scheduler present (AS) or not (default NAS)",
+    )
+    parser.add_argument(
+        "--policy", default="NAV",
+        choices=("NO", "NAV", "SEL", "STORE", "SYNC", "ORACLE", "SSET"),
+        help="memory dependence speculation policy (default NAV)",
+    )
+    parser.add_argument(
+        "--window", type=int, choices=(64, 128), default=128,
+        help="window size preset (default 128)",
+    )
+    parser.add_argument(
+        "--latency", type=int, default=0,
+        help="AS address-scheduler latency in cycles (default 0)",
+    )
+    parser.add_argument(
+        "--timing", type=int, default=timing,
+        help=f"timed instructions (default {timing})",
+    )
+    parser.add_argument(
+        "--warmup", type=int, default=warmup,
+        help=f"functional warm-up instructions (default {warmup})",
+    )
+    parser.add_argument(
+        "--seed", type=int, default=0, help="workload seed (default 0)"
+    )
+
+
+def _cell_config(args):
+    """The preset machine :func:`_add_cell_arguments`' arguments name."""
+    from repro.config import SchedulingModel, SpeculationPolicy
+    from repro.config.presets import (
+        continuous_window_64, continuous_window_128,
+    )
+
+    preset = {64: continuous_window_64, 128: continuous_window_128}
+    return preset[args.window](
+        SchedulingModel(args.scheduling),
+        SpeculationPolicy(args.policy),
+        addr_scheduler_latency=args.latency,
+    )
+
+
 def _observe_bundle(
     benchmark: str,
-    scheduling: str,
-    policy: str,
-    window: int,
-    latency: int,
+    config,
     settings: ExperimentSettings,
     out_dir: str,
     limit: int = 20_000,
 ) -> dict:
-    """Run one observed cell and write its observability bundle.
+    """Run one cell on *config*, observed, and write its observability
+    bundle.
 
     Writes ``trace.json`` (Chrome ``trace_event``), ``pipeline.kanata``
     (Konata pipeline view) and ``summary.json`` (stall/metrics summary,
@@ -321,10 +375,6 @@ def _observe_bundle(
     import dataclasses
     import json as jsonlib
 
-    from repro.config import SchedulingModel, SpeculationPolicy
-    from repro.config.presets import (
-        continuous_window_64, continuous_window_128,
-    )
     from repro.core.processor import Processor
     from repro.experiments.runner import (
         _dependences_for_length, _plan_for,
@@ -335,16 +385,7 @@ def _observe_bundle(
     )
     from repro.workloads.catalog import get_trace
 
-    factory = {64: continuous_window_64, 128: continuous_window_128}
-    if window not in factory:
-        raise SystemExit(f"unsupported window size {window} (64 or 128)")
-    config = dataclasses.replace(
-        factory[window](
-            SchedulingModel(scheduling), SpeculationPolicy(policy),
-            addr_scheduler_latency=latency,
-        ),
-        observe=True,
-    )
+    config = dataclasses.replace(config, observe=True)
     plan = _plan_for(benchmark, settings)
     trace = get_trace(benchmark, plan.length, settings.seed)
     info = _dependences_for_length(benchmark, plan.length, settings.seed)
@@ -369,7 +410,7 @@ def _observe_bundle(
     })
     stalls = result.extra["observe"]["stalls"]
     slots = stalls["slots"]
-    print(f"observed {benchmark} on {config.label}@{window}: "
+    print(f"observed {benchmark} on {config.label}@{config.window.size}: "
           f"{result.cycles:,} cycles, IPC {result.ipc:.3f}")
     for cause, count in sorted(
         stalls["causes"].items(), key=lambda kv: -kv[1]
@@ -392,34 +433,7 @@ def _observe_main(argv) -> int:
         ),
     )
     parser.add_argument("benchmark", help="benchmark name (e.g. 126.gcc)")
-    parser.add_argument(
-        "--scheduling", choices=("NAS", "AS"), default="NAS",
-        help="address-based scheduler present (AS) or not (default NAS)",
-    )
-    parser.add_argument(
-        "--policy", default="NAV",
-        choices=("NO", "NAV", "SEL", "STORE", "SYNC", "ORACLE", "SSET"),
-        help="memory dependence speculation policy (default NAV)",
-    )
-    parser.add_argument(
-        "--window", type=int, choices=(64, 128), default=128,
-        help="window size preset (default 128)",
-    )
-    parser.add_argument(
-        "--latency", type=int, default=0,
-        help="AS address-scheduler latency in cycles (default 0)",
-    )
-    parser.add_argument(
-        "--timing", type=int, default=16_000,
-        help="timed instructions (default 16000)",
-    )
-    parser.add_argument(
-        "--warmup", type=int, default=10_000,
-        help="functional warm-up instructions (default 10000)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="workload seed (default 0)"
-    )
+    _add_cell_arguments(parser, timing=16_000, warmup=10_000)
     parser.add_argument(
         "--quick", action="store_true",
         help="short run (6000 timed / 4000 warm-up)",
@@ -443,16 +457,17 @@ def _observe_main(argv) -> int:
     else:
         settings = ExperimentSettings(args.timing, args.warmup, args.seed)
     _observe_bundle(
-        args.benchmark, args.scheduling, args.policy, args.window,
-        args.latency, settings, args.out, limit=args.limit,
+        args.benchmark, _cell_config(args), settings, args.out,
+        limit=args.limit,
     )
     return 0
 
 
 def _check_main(argv) -> int:
-    """``repro-experiments check {run,selftest,fuzz} ...``.
+    """``repro-experiments check {run,selftest,fuzz,findings} ...``.
 
-    Exit codes: 0 clean, 1 violations/failures detected, 2 usage.
+    Exit codes: 0 clean, 1 violations/failures detected, 2 usage (or,
+    for ``findings``, an artifact file missing or unreadable).
     """
     import json as jsonlib
 
@@ -470,34 +485,7 @@ def _check_main(argv) -> int:
         help="simulate one benchmark with every checker attached",
     )
     run_p.add_argument("benchmark", help="benchmark name (e.g. 126.gcc)")
-    run_p.add_argument(
-        "--scheduling", choices=("NAS", "AS"), default="NAS",
-        help="address-based scheduler present (AS) or not (default NAS)",
-    )
-    run_p.add_argument(
-        "--policy", default="NAV",
-        choices=("NO", "NAV", "SEL", "STORE", "SYNC", "ORACLE", "SSET"),
-        help="memory dependence speculation policy (default NAV)",
-    )
-    run_p.add_argument(
-        "--window", type=int, choices=(64, 128), default=128,
-        help="window size preset (default 128)",
-    )
-    run_p.add_argument(
-        "--latency", type=int, default=0,
-        help="AS address-scheduler latency in cycles (default 0)",
-    )
-    run_p.add_argument(
-        "--timing", type=int, default=4_000,
-        help="timed instructions (default 4000)",
-    )
-    run_p.add_argument(
-        "--warmup", type=int, default=2_000,
-        help="functional warm-up instructions (default 2000)",
-    )
-    run_p.add_argument(
-        "--seed", type=int, default=0, help="workload seed (default 0)"
-    )
+    _add_cell_arguments(run_p, timing=4_000, warmup=2_000)
     run_p.add_argument(
         "--stride", type=int, default=1,
         help="run the per-cycle structure scans every N cycles "
@@ -571,6 +559,16 @@ def _check_main(argv) -> int:
              "$REPRO_BACKEND or 'reference')",
     )
 
+    findings_p = sub.add_parser(
+        "findings",
+        help="check the paper's findings on the artifacts "
+             "'all --json DIR' wrote",
+    )
+    findings_p.add_argument(
+        "directory", metavar="DIR",
+        help="directory holding the artifacts' JSON files",
+    )
+
     args = parser.parse_args(argv)
 
     def dump(payload, path):
@@ -586,10 +584,6 @@ def _check_main(argv) -> int:
                                   ("--latency", args.latency, 0),
                                   ("--stride", args.stride, 1)))
         from repro.check import check_benchmark, fault_names
-        from repro.config import SchedulingModel, SpeculationPolicy
-        from repro.config.presets import (
-            continuous_window_64, continuous_window_128,
-        )
 
         if args.inject is not None and args.inject not in fault_names():
             print(
@@ -598,15 +592,9 @@ def _check_main(argv) -> int:
                 file=sys.stderr,
             )
             return 2
-        factory = {64: continuous_window_64, 128: continuous_window_128}
-        config = factory[args.window](
-            SchedulingModel(args.scheduling),
-            SpeculationPolicy(args.policy),
-            addr_scheduler_latency=args.latency,
-        )
         settings = ExperimentSettings(args.timing, args.warmup, args.seed)
         outcome = check_benchmark(
-            args.benchmark, config, settings,
+            args.benchmark, _cell_config(args), settings,
             reference=not args.no_reference,
             stride=args.stride,
             fault=args.inject,
@@ -628,6 +616,21 @@ def _check_main(argv) -> int:
         print(report.render())
         dump(report.to_dict(), args.json_out)
         return 0 if outcome.ok else 1
+
+    if args.mode == "findings":
+        from repro.experiments import findings
+
+        try:
+            outcomes = findings.evaluate(
+                findings.read_artifacts(args.directory)
+            )
+        except findings.ArtifactError as exc:
+            path = os.path.join(args.directory, f"{exc.artifact}.json")
+            print(f"cannot check findings: {path}: {exc.reason}",
+                  file=sys.stderr)
+            return 2
+        print(findings.render(outcomes))
+        return 0 if all(outcome.holds for outcome in outcomes) else 1
 
     if args.mode == "selftest":
         from repro.check import fault_names, selftest

@@ -138,9 +138,28 @@ def clear_results() -> None:
     _cache_stats.simulations = 0
 
 
-def _config_key(config: ProcessorConfig) -> Tuple:
-    memdep = config.memdep
+def _fixed_parts(config: ProcessorConfig) -> Tuple:
+    """The parts of *config* that every preset leaves at Table 2."""
     return (
+        config.fetch, config.branch, config.icache, config.dcache,
+        config.l2, config.main_memory, config.latencies,
+        config.branch_redirect_penalty,
+    )
+
+
+_TABLE2_FIXED = _fixed_parts(ProcessorConfig())
+
+
+def _config_key(config: ProcessorConfig) -> Tuple:
+    """What identifies a cell's machine, in the memo and in the store:
+    every field of *config* but ``observe`` and ``backend``.
+
+    The parts the presets vary are listed field by field. The fixed
+    parts add one string only where they differ from Table 2, so every
+    config the artifacts build keys by this tuple alone.
+    """
+    memdep = config.memdep
+    key = (
         config_name(config),
         config.window.size,
         config.window.issue_width,
@@ -164,6 +183,10 @@ def _config_key(config: ProcessorConfig) -> Tuple:
         config.split.mem_banks,
         config.split.bank_ports,
     )
+    fixed = _fixed_parts(config)
+    if fixed != _TABLE2_FIXED:
+        key += (repr(fixed),)
+    return key
 
 
 @dataclass(frozen=True)

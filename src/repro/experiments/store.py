@@ -42,7 +42,11 @@ from repro.experiments.export import result_from_record, result_to_record
 #: fabric point of a split sweep under one colliding address.
 #: v4: ``config.observe`` left the key; one record per cell, observed
 #: when any request observed it, serves plain and observed requests.
-SCHEMA_VERSION = 4
+#: v5: the fetch, branch-predictor, cache, memory, latency and
+#: redirect-penalty settings joined the key. Under v4 a machine that
+#: differed from a stored one only there was served the stored
+#: machine's result, so a v4 entry may hold another machine's numbers.
+SCHEMA_VERSION = 5
 
 #: Environment variable naming the default store directory.
 STORE_ENV_VAR = "REPRO_RESULT_STORE"

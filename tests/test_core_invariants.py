@@ -1,8 +1,8 @@
 """Structural invariants checked during live simulation.
 
-A guarded FunctionalUnits implementation is injected into a processor
-run; any cycle that over-subscribes issue slots, functional units or
-memory ports fails the test immediately.
+A cycle sink reads the issue counters the core writes back every cycle;
+any cycle that over-subscribes issue slots, functional units or memory
+ports fails the test immediately.
 """
 
 import pytest
@@ -14,76 +14,7 @@ from repro.config import (
     SpeculationPolicy,
 )
 from repro.core.processor import Processor
-from repro.core.scheduler import FunctionalUnits
-from repro.isa.opcodes import FP_CLASSES
-
-
-class _GuardedFUs(FunctionalUnits):
-    def take_issue(self, op):
-        assert self.issue_slots_left > 0, "issue width exceeded"
-        if op in FP_CLASSES:
-            assert self._fp_used < self.config.fu_copies, "FP FUs over"
-        else:
-            assert self._int_used < self.config.fu_copies, "int FUs over"
-        super().take_issue(op)
-
-    def take_port(self):
-        assert self.ports_left > 0, "memory ports exceeded"
-        super().take_port()
-
-
-@pytest.mark.parametrize("policy", [
-    SpeculationPolicy.NO,
-    SpeculationPolicy.NAIVE,
-    SpeculationPolicy.SYNC,
-    SpeculationPolicy.ORACLE,
-])
-def test_structural_limits_never_exceeded(policy, recurrence_trace):
-    config = continuous_window_128(SchedulingModel.NAS, policy)
-    processor = Processor(config, recurrence_trace)
-    # Install the guard by monkeypatching the class attribute the
-    # processor instantiates per segment.
-    import repro.core.processor as cp
-    saved = cp.FunctionalUnits
-    cp.FunctionalUnits = _GuardedFUs
-    try:
-        result = processor.run()
-    finally:
-        cp.FunctionalUnits = saved
-    assert result.committed == len(recurrence_trace)
-
-
-def test_narrow_machine_limits_hold(memcopy_trace):
-    import repro.core.processor as cp
-    saved = cp.FunctionalUnits
-    cp.FunctionalUnits = _GuardedFUs
-    try:
-        config = continuous_window_64(
-            SchedulingModel.AS, SpeculationPolicy.NAIVE
-        )
-        result = Processor(config, memcopy_trace).run()
-    finally:
-        cp.FunctionalUnits = saved
-    assert result.committed == len(memcopy_trace)
-
-
-def test_window_never_overflows(recurrence_trace):
-    config = continuous_window_64(
-        SchedulingModel.NAS, SpeculationPolicy.NO
-    )
-    processor = Processor(config, recurrence_trace)
-    max_seen = 0
-    original = processor._dispatch
-
-    def watched():
-        nonlocal max_seen
-        original()
-        max_seen = max(max_seen, len(processor.window))
-        assert len(processor.window) <= config.window.size
-
-    processor._dispatch = watched
-    processor.run()
-    assert 0 < max_seen <= config.window.size
+from repro.observe import ObserverBus
 
 
 class _LimitSink:
@@ -118,6 +49,51 @@ class _LimitSink:
         self.peak_ports = max(self.peak_ports, ports)
 
 
+def _run_within_limits(config, trace) -> _LimitSink:
+    sink = _LimitSink(config.window)
+    result = Processor(config, trace, observer=ObserverBus([sink])).run()
+    assert result.committed == len(trace)
+    return sink
+
+
+@pytest.mark.parametrize("policy", [
+    SpeculationPolicy.NO,
+    SpeculationPolicy.NAIVE,
+    SpeculationPolicy.SYNC,
+    SpeculationPolicy.ORACLE,
+])
+def test_structural_limits_never_exceeded(policy, recurrence_trace):
+    _run_within_limits(
+        continuous_window_128(SchedulingModel.NAS, policy), recurrence_trace
+    )
+
+
+def test_narrow_machine_limits_hold(memcopy_trace):
+    _run_within_limits(
+        continuous_window_64(SchedulingModel.AS, SpeculationPolicy.NAIVE),
+        memcopy_trace,
+    )
+
+
+def test_window_never_overflows(recurrence_trace):
+    config = continuous_window_64(
+        SchedulingModel.NAS, SpeculationPolicy.NO
+    )
+    processor = Processor(config, recurrence_trace)
+    max_seen = 0
+    original = processor._dispatch
+
+    def watched():
+        nonlocal max_seen
+        original()
+        max_seen = max(max_seen, len(processor.window))
+        assert len(processor.window) <= config.window.size
+
+    processor._dispatch = watched
+    processor.run()
+    assert 0 < max_seen <= config.window.size
+
+
 @pytest.mark.parametrize("scheduling,policy", [
     (SchedulingModel.NAS, SpeculationPolicy.NAIVE),
     (SchedulingModel.NAS, SpeculationPolicy.ORACLE),
@@ -129,13 +105,7 @@ def test_issue_counters_stay_within_limits(scheduling, policy, memcopy_trace):
     # machine's limits, and the narrow machine must reach them (memcopy
     # is all integer ops, so its two integer units bind before the
     # issue width does).
-    from repro.observe import ObserverBus
-
     config = continuous_window_64(scheduling, policy)
-    sink = _LimitSink(config.window)
-    result = Processor(
-        config, memcopy_trace, observer=ObserverBus([sink])
-    ).run()
-    assert result.committed == len(memcopy_trace)
+    sink = _run_within_limits(config, memcopy_trace)
     assert sink.peak_int == config.window.fu_copies
     assert sink.peak_ports == config.window.memory_ports

@@ -38,27 +38,6 @@ def test_ready_pool_no_double_insert():
     assert len(pool) == 1
 
 
-def test_fu_accounting_issue_width():
-    funits = FunctionalUnits(WindowConfig(issue_width=2, fu_copies=8))
-    funits.begin_cycle(0)
-    assert funits.can_issue(OpClass.IALU)
-    funits.take_issue(OpClass.IALU)
-    funits.take_issue(OpClass.IALU)
-    assert not funits.can_issue(OpClass.IALU)
-    funits.begin_cycle(1)
-    assert funits.can_issue(OpClass.IALU)
-
-
-def test_fu_pools_are_separate():
-    funits = FunctionalUnits(WindowConfig(issue_width=8, fu_copies=1))
-    funits.begin_cycle(0)
-    funits.take_issue(OpClass.IALU)
-    assert not funits.can_issue(OpClass.IMUL)  # int pool exhausted
-    assert funits.can_issue(OpClass.FADD)  # fp pool still free
-    funits.take_issue(OpClass.FADD)
-    assert not funits.can_issue(OpClass.FMUL_DP)
-
-
 def test_memory_ports():
     funits = FunctionalUnits(WindowConfig(memory_ports=2))
     funits.begin_cycle(0)

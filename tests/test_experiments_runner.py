@@ -256,3 +256,47 @@ def test_failing_simulation_is_noted_with_its_cell(monkeypatch):
     assert pop_cell_note(exc) == f"132.ijpeg / {config.label}"
     assert not hasattr(exc, "__notes__")
     assert pop_cell_note(exc) is None
+
+
+def test_every_machine_setting_keys_the_cell(tmp_path):
+    """Machines that differ only outside the preset fields (here the
+    redirect penalty and the fetch width) are distinct cells, in the
+    memo and in the result store."""
+    import dataclasses
+
+    from repro.core.processor import Processor
+    from repro.experiments import runner
+    from repro.experiments.store import set_store
+    from repro.workloads.catalog import get_dependence_info, get_trace
+
+    settings = ExperimentSettings(2_000, 1_000)
+    base = continuous_window_128(SchedulingModel.NAS, SpeculationPolicy.NAIVE)
+    variants = (
+        dataclasses.replace(base, branch_redirect_penalty=40),
+        dataclasses.replace(
+            base, fetch=dataclasses.replace(base.fetch, width=2)
+        ),
+    )
+    plan = runner._plan_for("126.gcc", settings)
+    trace = get_trace("126.gcc", plan.length, settings.seed)
+    direct = [
+        Processor(config, trace, get_dependence_info(trace)).run(plan).cycles
+        for config in variants
+    ]
+
+    def cycles(config):
+        return run_benchmark("126.gcc", config, settings).cycles
+
+    set_store(None)
+    assert cycles(base) not in direct
+    assert [cycles(config) for config in variants] == direct
+
+    set_store(str(tmp_path))
+    try:
+        clear_results()
+        cycles(base)
+        clear_results()
+        assert [cycles(config) for config in variants] == direct
+        assert runner.cache_stats().simulations == 2
+    finally:
+        set_store(None)

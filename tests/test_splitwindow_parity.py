@@ -165,8 +165,6 @@ def golden():
         return json.load(handle)
 
 
-# ``bench`` not ``benchmark``: the latter collides with the
-# pytest-benchmark plugin's fixture of that name.
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 @pytest.mark.parametrize(
     "bench,length,label",

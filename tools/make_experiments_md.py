@@ -39,6 +39,13 @@ not comparable point-for-point; the claims under reproduction are the
 fall. Each artifact below prints measured values next to the paper's
 where the paper gives them.
 
+`repro-experiments check findings DIR` checks those shapes: each
+finding is a named predicate over the data that
+`repro-experiments all --json DIR` writes. Runs of 6,000 timed and
+4,000 warm-up instructions (`--quick`) and the CLI default
+(16,000/10,000) hold every predicate; 3,000/1,875 does not (two F6
+predicates fail, for the reason of deviation 1).
+
 ## Known deviations (and why)
 
 1. **NAS/SYNC miss-speculation rates (Table 4) are higher than the
@@ -47,8 +54,8 @@ where the paper gives them.
    (verified: no static pair in our runs miss-speculates more than
    twice). The paper amortises that constant over ~10^8 instructions;
    a {timing:,}-instruction sample cannot. The claim that survives —
-   and is asserted by `benchmarks/test_table4_misspec.py` — is the
-   order-of-magnitude reduction relative to naive speculation.
+   and is checked by the F6 predicate `sync_tenth_of_nav_misses` — is
+   the order-of-magnitude reduction relative to naive speculation.
 2. **NAS/SEL is milder here than in the paper.** Our synthetic
    dependence sets are stable per PC, so a selective predictor rarely
    over-blocks; the paper's real traces make it oscillate (periodic

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import gc
 import heapq
-import itertools
 from typing import Dict, List, Optional, Tuple
 
 from repro.branch.unit import BranchUnit
@@ -28,6 +27,7 @@ from repro.core.result import SimResult
 from repro.core.scheduler import FunctionalUnits, ReadyPool
 from repro.core.window import Entry, Window
 from repro.isa.opcodes import OpClass
+from repro.isa.registers import REG_ZERO
 from repro.memdep.addr_scheduler import AddressScheduler
 from repro.memdep.oracle import OracleDisambiguator
 from repro.memdep.store_sets import StoreSetPredictor
@@ -41,7 +41,7 @@ from repro.trace.dependences import DependenceInfo, compute_dependence_info
 from repro.trace.events import Trace
 from repro.trace.sampling import SamplingPlan, make_sampling_plan
 
-# Event kinds (heap entries are (cycle, serial, kind, entry)).
+# Event kinds (a cycle's calendar list holds (kind, entry) pairs).
 _EV_COMPLETE = 0
 _EV_WRITE = 1
 _EV_READY = 2
@@ -236,14 +236,16 @@ class Processor:
     # timing simulation
     # ------------------------------------------------------------------
 
-    def _run_segment(self, start: int, stop: int) -> SimResult:
+    def _begin_segment(self, start: int, stop: int) -> None:
+        """Fresh per-segment state for instructions ``start..stop-1``:
+        statistics, window, fetch unit, pools, trackers and the event
+        calendar. Caches, predictors and the clock carry over."""
         cfg = self.config
-        stats = SimResult(
+        self.stats = SimResult(
             config_label=cfg.label,
             benchmark=self.trace.name,
             suite=self.trace.suite,
         )
-        self.stats = stats
         self.window = Window(cfg.window.size)
         self.cursor = TraceCursor(self.trace, start, stop)
         observer = self.observer
@@ -268,14 +270,19 @@ class Processor:
             AddressScheduler(cfg.memdep.addr_scheduler_latency, observer)
             if self.as_mode else None
         )
-        self._events: List = []
-        #: Tie-breaking serials of events scheduled for the same cycle.
-        self._next_serial = itertools.count(1).__next__
+        #: The event calendar: each pending cycle's (kind, entry) list
+        #: in scheduling order, and a heap of those cycles.
+        self._calendar: Dict[int, List[Tuple[int, Entry]]] = {}
+        self._cycles: List[int] = []
         #: Earliest future cycle hinted by a blocked memory op (min
         #: tracking replaces an append-per-blocked-entry hint list).
         self._hint: Optional[int] = None
         self._progress = False
 
+    def _run_segment(self, start: int, stop: int) -> SimResult:
+        self._begin_segment(start, stop)
+        stats = self.stats
+        observer = self.observer
         start_cycle = self.cycle
         branch_stats_base = (
             self.branch_unit.predictions,
@@ -289,7 +296,7 @@ class Processor:
         trace_stop = cursor._stop
         entries = self.window._entries
         capacity = self.window.size
-        events = self._events
+        cycles = self._cycles
         ready_heap = self.ready_pool._heap
         load_pool = self.load_pool
         write_pool = self.store_write_pool
@@ -315,14 +322,14 @@ class Processor:
         # nothing. The FU counters are reset for the issue phases and
         # for observers (the utilisation sampler reads them every
         # cycle).
-        while entries or events or not fetch.done:
+        while entries or cycles or not fetch.done:
             if self._progress or ready_heap:
                 self._progress = False
                 cycle += 1
             else:
                 cycle = next_cycle()
             self.cycle = cycle
-            if events and events[0][0] <= cycle:
+            if cycles and cycles[0] <= cycle:
                 process_events()
             if entries:
                 head = entries[0]
@@ -376,8 +383,8 @@ class Processor:
         next dispatch and fetch's restart."""
         best = self._hint
         self._hint = None
-        if self._events:
-            when = self._events[0][0]
+        if self._cycles:
+            when = self._cycles[0]
             if best is None or when < best:
                 best = when
         fetch = self.fetch
@@ -403,29 +410,40 @@ class Processor:
         return best if best > nxt_cycle else nxt_cycle
 
     def _schedule(self, cycle: int, kind: int, entry: Entry) -> None:
-        heapq.heappush(
-            self._events, (cycle, self._next_serial(), kind, entry)
-        )
+        due = self._calendar.get(cycle)
+        if due is None:
+            self._calendar[cycle] = [(kind, entry)]
+            heapq.heappush(self._cycles, cycle)
+        else:
+            due.append((kind, entry))
 
     # -- events -------------------------------------------------------------
 
     def _process_events(self) -> None:
-        events = self._events
+        # Each due cycle's events fire in the order they were scheduled.
+        # No handler schedules an event for the current cycle: the
+        # re-arms in ``_on_complete`` and ``_on_store_write`` use a later
+        # cycle, ``_selective_reexecute`` schedules ``cycle + 1`` or
+        # later, and ``_maybe_ready`` pushes an already-ready entry
+        # straight to the ready pool. So a due list never grows while it
+        # is walked.
+        cycles = self._cycles
+        calendar = self._calendar
         cycle = self.cycle
         pop = heapq.heappop
         ready_push = self.ready_pool.push
-        while events and events[0][0] <= cycle:
-            _, _, kind, entry = pop(events)
-            if entry.squashed:
-                continue
-            if kind == _EV_READY:
-                ready_push(entry)
-            elif kind == _EV_COMPLETE:
-                self._on_complete(entry)
-            elif kind == _EV_WRITE:
-                self._on_store_write(entry)
-            elif kind == _EV_POST:
-                self._progress = True  # wake gates waiting on visibility
+        while cycles and cycles[0] <= cycle:
+            for kind, entry in calendar.pop(pop(cycles)):
+                if entry.squashed:
+                    continue
+                if kind == _EV_READY:
+                    ready_push(entry)
+                elif kind == _EV_COMPLETE:
+                    self._on_complete(entry)
+                elif kind == _EV_WRITE:
+                    self._on_store_write(entry)
+                elif kind == _EV_POST:
+                    self._progress = True  # wake gates waiting on visibility
 
     def _on_complete(self, entry: Entry) -> None:
         done = entry.complete_cycle
@@ -699,12 +717,17 @@ class Processor:
 
     def _dispatch(self) -> None:
         window = self.window
+        entries = window._entries
+        by_seq = window._by_seq
+        last_writer = window._last_writer
         capacity = window.size
         # Occupancy is tracked locally: ``len(window)`` per dispatched
         # instruction adds up, as does one ``pop_dispatchable`` call per
         # instruction (plus a None-returning one every cycle) — the
-        # fetch buffer is walked directly instead.
-        occupancy = len(window._entries)
+        # fetch buffer is walked directly instead. The fetch buffer
+        # holds instructions in program order, so the window stays in
+        # program order (``InvariantChecker``'s ``window-age-order``).
+        occupancy = len(entries)
         buffer = self.fetch.buffer
         maybe_ready = self._maybe_ready
         budget = self._issue_width
@@ -716,12 +739,50 @@ class Processor:
             inst = buffer.popleft()[0]
             occupancy += 1
             entry = Entry(inst, cycle)
-            window.dispatch(entry)
+            # Rename: each source's youngest older in-flight writer is
+            # its producer. An unfinished producer gets the entry as a
+            # waiter and the operand's pending count goes up; a finished
+            # one moves the operand's ready time to its completion. A
+            # store's data operand is its second source by convention
+            # (counted by hand: ``enumerate`` costs more per source).
+            is_store = entry.is_store
+            operand = 0
+            for src in inst.srcs:
+                operand += 1
+                producer = last_writer[src]
+                if producer is None or producer.squashed:
+                    continue
+                is_data = is_store and operand == 2
+                if entry.producers:
+                    entry.producers.append(producer)
+                else:
+                    entry.producers = [producer]
+                done = producer.complete_cycle
+                if done is not None:
+                    if is_data:
+                        if done > entry.data_ready:
+                            entry.data_ready = done
+                    elif done > entry.addr_ready:
+                        entry.addr_ready = done
+                else:
+                    if producer.waiters:
+                        producer.waiters.append((entry, is_data))
+                    else:
+                        producer.waiters = [(entry, is_data)]
+                    if is_data:
+                        entry.data_pending += 1
+                    else:
+                        entry.addr_pending += 1
+            dest = inst.dest
+            if dest is not None and dest != REG_ZERO:
+                last_writer[dest] = entry
+            entries.append(entry)
+            by_seq[entry.seq] = entry
             budget -= 1
             self._progress = True
             if entry.is_load:
                 self._on_load_dispatch(entry)
-            elif entry.is_store:
+            elif is_store:
                 self._on_store_dispatch(entry)
             maybe_ready(entry)
             if observer is not None:
@@ -813,8 +874,7 @@ class Processor:
         cycle = self.cycle
         as_mode = self.as_mode
         latencies = self._latencies
-        events = self._events
-        next_serial = self._next_serial
+        schedule = self._schedule
         observer = self.observer
         deferred: List[Entry] = []
         progress = False
@@ -846,7 +906,7 @@ class Processor:
             else:
                 ready_at = entry.addr_ready
             if ready_at > cycle:
-                self._schedule(ready_at, _EV_READY, entry)
+                schedule(ready_at, _EV_READY, entry)
                 continue
             fp = entry.uses_fp_unit
             if (fp_used if fp else int_used) >= fu_copies:
@@ -884,9 +944,7 @@ class Processor:
                 entry.issue_cycle = cycle
                 done = cycle + latencies[entry.inst.op.index]
                 entry.complete_cycle = done
-                heapq.heappush(
-                    events, (done, next_serial(), _EV_COMPLETE, entry)
-                )
+                schedule(done, _EV_COMPLETE, entry)
                 if observer is not None:
                     observer.emit_issue(entry, cycle)
             progress = True
@@ -982,7 +1040,8 @@ class Processor:
             blocked_from = None
         window_get = self.window.get
         note_fd_wait = self._note_fd_wait
-        for entry in candidates:
+        scan = iter(candidates)
+        for entry in scan:
             if ports_used >= memory_ports:
                 progress = True  # ports exhausted: retry next cycle
                 break
@@ -1016,22 +1075,31 @@ class Processor:
                 continue
             if kind == _GATE_OPEN:
                 pass  # NAV: speculate as soon as the address is ready
-            elif kind == _GATE_ALL_STORES:
+            elif kind == _GATE_ALL_STORES or kind == _GATE_BARRIER:
                 if blocked_from is not None and blocked_from < entry.seq:
+                    # A NAS pool holds loads only, so every later
+                    # candidate is a younger load: blocked too once its
+                    # address is ready. None takes a port, so the port
+                    # test cannot end the scan; finish it with the
+                    # address hints and first waits alone.
                     if entry.fd_wait_start is None:
                         note_fd_wait(entry)
-                    continue
+                    for entry in scan:
+                        agen = entry.agen_done
+                        if agen is None or agen > cycle:
+                            if agen is not None and (
+                                hint is None or agen < hint
+                            ):
+                                hint = agen
+                        elif entry.fd_wait_start is None:
+                            note_fd_wait(entry)
+                    break
             elif kind == _GATE_PREDICTED:
                 if (
                     entry.predicted_dep
                     and blocked_from is not None
                     and blocked_from < entry.seq
                 ):
-                    if entry.fd_wait_start is None:
-                        note_fd_wait(entry)
-                    continue
-            elif kind == _GATE_BARRIER:
-                if blocked_from is not None and blocked_from < entry.seq:
                     if entry.fd_wait_start is None:
                         note_fd_wait(entry)
                     continue

@@ -13,7 +13,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.isa.instruction import DynInst
 from repro.isa.opcodes import OpClass
-from repro.isa.registers import REG_ZERO, TOTAL_REGS
+from repro.isa.registers import TOTAL_REGS
 
 
 class Entry:
@@ -115,6 +115,11 @@ class Window:
     in-flight writer, or None. ``REG_ZERO``'s slot is never written.
     Traces reject register indices outside ``0..TOTAL_REGS-1``, so a
     source can be looked up without a range test.
+
+    ``Processor._dispatch`` inserts entries: it wires each one's
+    sources through the rename map, claims its destination's slot and
+    appends it to ``_entries`` and ``_by_seq``. The window retires and
+    squashes them.
     """
 
     def __init__(self, size: int) -> None:
@@ -131,68 +136,12 @@ class Window:
     def __iter__(self):
         return iter(self._entries)
 
-    @property
-    def full(self) -> bool:
-        return len(self._entries) >= self.size
-
-    @property
-    def empty(self) -> bool:
-        return not self._entries
-
     def head(self) -> Optional[Entry]:
         """Oldest in-flight entry."""
         return self._entries[0] if self._entries else None
 
     def get(self, seq: int) -> Optional[Entry]:
         return self._by_seq.get(seq)
-
-    def dispatch(self, entry: Entry) -> None:
-        """Insert *entry* (program order), wiring producer links.
-
-        For each source register the youngest older in-flight writer is
-        recorded: if it has not completed, *entry* becomes its waiter and
-        the corresponding pending count is incremented; if it has, the
-        operand-ready time absorbs its completion cycle.
-        """
-        entries = self._entries
-        if len(entries) >= self.size:
-            raise RuntimeError("window overflow")
-        if entries and entry.seq <= entries[-1].seq:
-            raise ValueError("dispatch must follow program order")
-        inst = entry.inst
-        last_writer = self._last_writer
-        is_store = entry.is_store
-        for index, src in enumerate(inst.srcs):
-            # A store's data operand is its second source by convention.
-            is_data = is_store and index == 1
-            producer = last_writer[src]
-            if producer is None or producer.squashed:
-                continue
-            if entry.producers:
-                entry.producers.append(producer)
-            else:
-                entry.producers = [producer]
-            done = producer.complete_cycle
-            if done is not None:
-                if is_data:
-                    if done > entry.data_ready:
-                        entry.data_ready = done
-                elif done > entry.addr_ready:
-                    entry.addr_ready = done
-            else:
-                if producer.waiters:
-                    producer.waiters.append((entry, is_data))
-                else:
-                    producer.waiters = [(entry, is_data)]
-                if is_data:
-                    entry.data_pending += 1
-                else:
-                    entry.addr_pending += 1
-        dest = inst.dest
-        if dest is not None and dest != REG_ZERO:
-            last_writer[dest] = entry
-        entries.append(entry)
-        self._by_seq[entry.seq] = entry
 
     def commit_head(self) -> Entry:
         """Remove and return the oldest entry."""
@@ -238,8 +187,3 @@ class Window:
                     if not dirty:
                         break
         return squashed
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._by_seq.clear()
-        self._last_writer = [None] * TOTAL_REGS

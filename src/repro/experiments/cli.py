@@ -342,19 +342,33 @@ def _add_cell_arguments(
     )
 
 
-def _cell_config(args):
-    """The preset machine :func:`_add_cell_arguments`' arguments name."""
+def _cell_config(parser, args):
+    """The preset machine :func:`_add_cell_arguments`' arguments name.
+
+    A combination the machine rejects exits with a usage error (status
+    2) naming the flags, not with the config's traceback.
+    """
     from repro.config import SchedulingModel, SpeculationPolicy
     from repro.config.presets import (
         continuous_window_64, continuous_window_128,
     )
 
+    if args.latency and args.scheduling != "AS":
+        parser.error(
+            f"--latency {args.latency} needs --scheduling AS "
+            f"(--scheduling {args.scheduling} has no address scheduler)"
+        )
     preset = {64: continuous_window_64, 128: continuous_window_128}
-    return preset[args.window](
-        SchedulingModel(args.scheduling),
-        SpeculationPolicy(args.policy),
-        addr_scheduler_latency=args.latency,
-    )
+    try:
+        return preset[args.window](
+            SchedulingModel(args.scheduling),
+            SpeculationPolicy(args.policy),
+            addr_scheduler_latency=args.latency,
+        )
+    except ValueError as exc:
+        parser.error(
+            f"--scheduling {args.scheduling} --policy {args.policy}: {exc}"
+        )
 
 
 def _observe_bundle(
@@ -457,7 +471,7 @@ def _observe_main(argv) -> int:
     else:
         settings = ExperimentSettings(args.timing, args.warmup, args.seed)
     _observe_bundle(
-        args.benchmark, _cell_config(args), settings, args.out,
+        args.benchmark, _cell_config(parser, args), settings, args.out,
         limit=args.limit,
     )
     return 0
@@ -594,7 +608,7 @@ def _check_main(argv) -> int:
             return 2
         settings = ExperimentSettings(args.timing, args.warmup, args.seed)
         outcome = check_benchmark(
-            args.benchmark, _cell_config(args), settings,
+            args.benchmark, _cell_config(run_p, args), settings,
             reference=not args.no_reference,
             stride=args.stride,
             fault=args.inject,

@@ -198,7 +198,9 @@ class ObserverBus:
         """Count one event; build it only if an event sink takes it.
 
         *op* is the :class:`~repro.isa.opcodes.OpClass`: its ``name``
-        (an ``Enum`` property) is read only for a built event.
+        (an ``Enum`` property) is read only for a built event. Callers
+        with an ``info`` payload build it only when ``_event_sinks`` is
+        non-empty and pass None otherwise.
         """
         self.events_emitted += 1
         sinks = self._event_sinks
@@ -237,7 +239,7 @@ class ObserverBus:
         inst = entry.inst
         self._emit(
             EV_MEM_ISSUE, cycle, entry.seq, inst.pc, inst.op,
-            {"forwarded": forwarded},
+            {"forwarded": forwarded} if self._event_sinks else None,
         )
 
     def emit_blocked(self, entry, cycle: int, cause) -> None:
@@ -247,7 +249,7 @@ class ObserverBus:
         inst = entry.inst
         self._emit(
             EV_BLOCKED, cycle, entry.seq, inst.pc, inst.op,
-            {"cause": cause},
+            {"cause": cause} if self._event_sinks else None,
         )
 
     def emit_squash(
@@ -263,7 +265,7 @@ class ObserverBus:
                 "store_seq": store.seq,
                 "squashed": squashed,
                 "resume": resume,
-            },
+            } if self._event_sinks else None,
         )
         for sink in self._cycle_sinks:
             sink.on_squash(resume)
@@ -275,7 +277,7 @@ class ObserverBus:
         inst = load.inst
         self._emit(
             EV_REPLAY, cycle, load.seq, inst.pc, inst.op,
-            {"reexecuted": reexecuted},
+            {"reexecuted": reexecuted} if self._event_sinks else None,
         )
 
     def emit_commit(self, entry, cycle: int) -> None:

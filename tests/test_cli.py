@@ -229,6 +229,33 @@ def test_cli_rejects_bad_run_lengths(
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command", [["observe"], ["check", "run"]], ids=["observe", "check-run"]
+)
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--latency", "1"], "--latency 1 needs --scheduling AS"),
+        (["--scheduling", "AS", "--policy", "SYNC"],
+         "--scheduling AS --policy SYNC"),
+    ],
+    ids=["latency-without-scheduler", "predictor-with-scheduler"],
+)
+def test_cell_flags_the_machine_rejects_are_usage_errors(
+    monkeypatch, capsys, tmp_path, command, flags, message
+):
+    """A machine the config rejects (an address-scheduler latency with
+    no address scheduler, a predictor policy with one) is a usage error
+    (exit 2) naming the flags, not the config's ValueError traceback."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(command + ["099.go", *flags, "--timing", "60",
+                            "--warmup", "0"])
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 #: The run size of the planning tests below: big enough to run every
 #: artifact, small enough for about a second of simulation.
 _SMALL = ["--timing", "60", "--warmup", "40"]

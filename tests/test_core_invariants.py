@@ -68,13 +68,6 @@ def test_structural_limits_never_exceeded(policy, recurrence_trace):
     )
 
 
-def test_narrow_machine_limits_hold(memcopy_trace):
-    _run_within_limits(
-        continuous_window_64(SchedulingModel.AS, SpeculationPolicy.NAIVE),
-        memcopy_trace,
-    )
-
-
 def test_window_never_overflows(recurrence_trace):
     config = continuous_window_64(
         SchedulingModel.NAS, SpeculationPolicy.NO

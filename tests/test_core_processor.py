@@ -213,6 +213,44 @@ def test_flush_interval_configurable(recurrence_trace):
     assert result.misspeculations >= default.misspeculations
 
 
+def test_events_on_one_cycle_fire_in_scheduling_order():
+    """The event calendar fires a cycle's events in the order they were
+    scheduled, whatever their kind, after those of earlier cycles, and
+    skips squashed entries."""
+    from repro.core.processor import _EV_COMPLETE, _EV_READY, _EV_WRITE
+    from repro.core.window import Entry
+
+    insts = [DynInst(seq=i, pc=4 * i, op=OpClass.IALU) for i in range(7)]
+    processor = Processor(
+        continuous_window_128(NAS, SpeculationPolicy.NAIVE),
+        Trace(insts, name="calendar"),
+    )
+    processor._begin_segment(0, len(insts))
+    fired = []
+    processor._on_complete = lambda e: fired.append(("complete", e.seq))
+    processor._on_store_write = lambda e: fired.append(("write", e.seq))
+    processor.ready_pool.push = lambda e: fired.append(("ready", e.seq))
+    entries = [Entry(inst, 0) for inst in insts]
+    entries[5].squashed = True
+    for cycle, kind, seq in (
+        (6, _EV_COMPLETE, 6),
+        (5, _EV_READY, 0),
+        (5, _EV_COMPLETE, 1),
+        (5, _EV_WRITE, 2),
+        (5, _EV_READY, 3),
+        (5, _EV_COMPLETE, 5),
+        (5, _EV_COMPLETE, 4),
+    ):
+        processor._schedule(cycle, kind, entries[seq])
+    processor.cycle = 6
+    processor._process_events()
+    assert fired == [
+        ("ready", 0), ("complete", 1), ("write", 2), ("ready", 3),
+        ("complete", 4), ("complete", 6),
+    ]
+    assert not processor._cycles and not processor._calendar
+
+
 def _objects_added_by(build):
     """GC-tracked objects that *build()* allocates and keeps."""
     gc.collect()

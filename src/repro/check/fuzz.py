@@ -468,19 +468,3 @@ def save_corpus(path: str, cells: Sequence[FuzzCell]) -> None:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
-
-def replay_corpus(
-    path: str,
-    tolerance: float = 0.02,
-    nav_rate_threshold: float = 0.01,
-    log=None,
-) -> FuzzResult:
-    """Re-run every checked-in cell; random budget zero."""
-    return fuzz(
-        budget=0,
-        corpus=load_corpus(path),
-        tolerance=tolerance,
-        nav_rate_threshold=nav_rate_threshold,
-        minimize=False,
-        log=log,
-    )

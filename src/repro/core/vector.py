@@ -403,7 +403,6 @@ class VectorProcessor:
         *,
         elide: Optional[bool] = None,
         record_elisions: bool = False,
-        kernel_times: bool = False,
     ) -> None:
         if config.split.enabled:
             raise ValueError(
@@ -499,14 +498,6 @@ class VectorProcessor:
         self._record_elisions = bool(record_elisions)
         self.skipped_cycles = 0
         self.elided_ranges: List = []
-        # Per-kernel wall-time accounting (``--kernel-times``): ns spent
-        # in each phase of the cycle loop plus an invocation count, so a
-        # perf postmortem reads straight out of ``extra`` instead of
-        # cProfile archaeology. Off by default: the flag is checked once
-        # per phase per active cycle (a single cheap truth test).
-        self._kernel_times = bool(kernel_times)
-        self.phase_ns: Dict[str, int] = {}
-        self.phase_calls: Dict[str, int] = {}
 
         n = col.n
         # Per-seq dynamic state (reference Entry fields). Allocated once
@@ -593,36 +584,13 @@ class VectorProcessor:
         total.extra["elide"] = 1 if self._elide else 0
         if self._record_elisions:
             total.extra["elided_ranges"] = list(self.elided_ranges)
-        if self._kernel_times:
-            total.extra["vector_phase_ns"] = dict(
-                sorted(self.phase_ns.items())
-            )
-            total.extra["vector_phase_calls"] = dict(
-                sorted(self.phase_calls.items())
-            )
         return total
-
-    def _phase_add(self, name: str, ns: int, calls: int = 1) -> None:
-        pns = self.phase_ns
-        pns[name] = pns.get(name, 0) + ns
-        calls_d = self.phase_calls
-        calls_d[name] = calls_d.get(name, 0) + calls
 
     # ------------------------------------------------------------------
     # functional warm-up (sampling)
     # ------------------------------------------------------------------
 
     def _warm_segment(self, start: int, stop: int) -> None:
-        if self._kernel_times:
-            from time import perf_counter_ns
-
-            t0 = perf_counter_ns()
-            self._warm_segment_inner(start, stop)
-            self._phase_add("warm", perf_counter_ns() - t0)
-            return
-        self._warm_segment_inner(start, stop)
-
-    def _warm_segment_inner(self, start: int, stop: int) -> None:
         col = self.col
         hierarchy = self.hierarchy
         icache_touch = hierarchy.icache.touch
@@ -831,18 +799,6 @@ class VectorProcessor:
             or self.store_sets is not None
         )
         cycle = self.cycle
-        kt = self._kernel_times
-        if kt:
-            from time import perf_counter_ns as _pcns
-
-            _pns = self.phase_ns
-            _pcalls = self.phase_calls
-            for _name in (
-                "advance", "events", "commit", "mem_issue",
-                "exec_issue", "dispatch", "fetch",
-            ):
-                _pns.setdefault(_name, 0)
-                _pcalls.setdefault(_name, 0)
         # Commit-side counters accumulate in locals for the whole
         # segment and flush into ``stats`` once, after the loop.
         c_committed = 0
@@ -871,8 +827,6 @@ class VectorProcessor:
             # elides the probe too when nothing can interact there; the
             # landing cycle is the same either way, so the simulated
             # trajectory is identical (macro-stepping, see docs/PERF.md).
-            if kt:
-                _t = _pcns()
             if rp or self.mem_dirty:
                 cycle += 1
             else:
@@ -929,11 +883,6 @@ class VectorProcessor:
                 else:
                     cycle = nxt
             self.cycle = cycle
-            if kt:
-                _now = _pcns()
-                _pns["advance"] += _now - _t
-                _pcalls["advance"] += 1
-                _t = _now
             # -- events (inlined _process_events) -----------------------
             if nx and self._nx_time <= cycle:
                 # Fold the next-cycle lane into its bucket; bucketed
@@ -1047,11 +996,6 @@ class VectorProcessor:
                     # pushes can move a memory gate; ALU/load completions
                     # wake through the ready pool.
                     self.mem_dirty = True
-                if kt:
-                    _now = _pcns()
-                    _pns["events"] += _now - _t
-                    _pcalls["events"] += 1
-                    _t = _now
             # -- commit (inlined) ---------------------------------------
             if self.w_count:
                 h = self.w_head
@@ -1105,19 +1049,9 @@ class VectorProcessor:
                         # scheduler, which can open an AS load gate; no
                         # NAS gate reads anything commit touches.
                         self.mem_dirty = True
-            if kt:
-                _now = _pcns()
-                _pns["commit"] += _now - _t
-                _pcalls["commit"] += 1
-                _t = _now
             self.fu_ports = 0
             if self.mem_dirty or 0 <= self.mem_wake <= cycle:
                 issue_memory()
-                if kt:
-                    _now = _pcns()
-                    _pns["mem_issue"] += _now - _t
-                    _pcalls["mem_issue"] += 1
-                    _t = _now
             # (A skipped scan needs no hint merge: ``mem_wake`` stands
             # as its own term in the advance-clock horizon above.)
             # -- issue (inlined _issue_exec) ----------------------------
@@ -1243,11 +1177,6 @@ class VectorProcessor:
                     ie_progress = True
                 if ie_progress:
                     self.mem_dirty = True
-                if kt:
-                    _now = _pcns()
-                    _pns["exec_issue"] += _now - _t
-                    _pcalls["exec_issue"] += 1
-                    _t = _now
             # -- dispatch (inlined) -------------------------------------
             if (
                 buffer and self.w_count < w_size
@@ -1346,23 +1275,13 @@ class VectorProcessor:
                             heappush(evt, ready_at)
                         else:
                             b.append((ev_ready, s, ser))
-                if kt:
-                    _now = _pcns()
-                    _pns["dispatch"] += _now - _t
-                    _pcalls["dispatch"] += 1
-                    _t = _now
             if (
                 self.f_wait < 0
                 and cycle >= self.f_stalled
                 and self.f_pos < f_stop
                 and len(buffer) < f_cap
             ):
-                if kt:
-                    _t = _pcns()
                 fetch_tick(cycle)
-                if kt:
-                    _pns["fetch"] += _pcns() - _t
-                    _pcalls["fetch"] += 1
             if has_tables and cycle >= self._next_flush:
                 maybe_flush()
 

@@ -95,11 +95,6 @@ class Entry:
         self.fd_resolved_cycle: Optional[int] = None
         self.observed_blocked = False
 
-    @property
-    def operands_ready_cycle(self) -> int:
-        """Cycle when every operand (address and data) is available."""
-        return max(self.addr_ready, self.data_ready)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "squashed" if self.squashed else (
             "done" if self.complete_cycle is not None else "inflight"

@@ -607,18 +607,16 @@ def _check_main(argv) -> int:
             )
             return 2
         settings = ExperimentSettings(args.timing, args.warmup, args.seed)
+        config = _cell_config(run_p, args)
         outcome = check_benchmark(
-            args.benchmark, _cell_config(run_p, args), settings,
+            args.benchmark, config, settings,
             reference=not args.no_reference,
             stride=args.stride,
             fault=args.inject,
             stalls=args.stalls,
         )
         report = outcome.report
-        label = (
-            f"{args.benchmark} {args.scheduling}/{args.policy}"
-            f"@w{args.window}"
-        )
+        label = f"{args.benchmark} {config.label}@w{config.window.size}"
         if outcome.result is not None:
             print(
                 f"checked {label}: {outcome.result.committed:,} commits, "
@@ -663,6 +661,11 @@ def _check_main(argv) -> int:
 
     # args.mode == "fuzz"
     _require_at_least(fuzz_p, (("--budget", args.budget, 0),))
+    if not 0 <= args.tolerance < 1:
+        fuzz_p.error(
+            f"--tolerance must be a finite number in [0, 1) "
+            f"(got {args.tolerance:g})"
+        )
     from repro.check.fuzz import (
         FuzzCell, fuzz as run_fuzz, load_corpus, save_corpus,
     )

@@ -112,7 +112,6 @@ def run_cells_parallel(
     workers: Optional[int] = None,
     *,
     telemetry=None,
-    precompile: bool = True,
     backend: Optional[str] = None,
 ) -> Tuple[Dict[str, Dict[str, SimResult]], Dict[str, float]]:
     """Simulate *cells* (``{benchmark: [(label, config), ...]}``) over a
@@ -124,10 +123,10 @@ def run_cells_parallel(
     ``workers=1`` (or a single benchmark) the shards run in this
     process, one after another, without spawning any.
 
-    With a pool and *precompile* (the default), every benchmark's
-    trace is compiled into packed columns **before** the fork: workers
-    inherit the buffers copy-on-write and serve ``get_trace`` from
-    memory instead of regenerating per process. When a persistent
+    With a pool, every benchmark's trace is compiled into packed
+    columns **before** the fork: workers inherit the buffers
+    copy-on-write and serve ``get_trace`` from memory instead of
+    regenerating per process. When a persistent
     trace store is active (:func:`repro.trace.tracestore.set_trace_store`
     or ``$REPRO_TRACE_STORE``), precompilation loads from and populates
     it. A trace that cannot be generated stops the run before the fork.
@@ -174,7 +173,7 @@ def run_cells_parallel(
     pool = None
     try:
         try:
-            if pooled and precompile:
+            if pooled:
                 _precompile(shards, settings, writer)
             for name, labelled in shards.items():
                 writer.emit(

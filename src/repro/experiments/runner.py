@@ -82,15 +82,8 @@ class ExperimentSettings:
         return self.timing_instructions + self.warmup_instructions
 
 
-#: Default settings; ``quick()`` for test-suite-sized runs.
+#: Default settings.
 DEFAULT_SETTINGS = ExperimentSettings()
-
-
-def quick_settings() -> ExperimentSettings:
-    """Short runs for smoke tests (shapes hold, noisier values)."""
-    return ExperimentSettings(
-        timing_instructions=6_000, warmup_instructions=4_000
-    )
 
 
 _result_cache: Dict[Tuple, SimResult] = {}

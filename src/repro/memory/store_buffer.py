@@ -159,20 +159,6 @@ class StoreBuffer:
                 return entry, full
         return None, False
 
-    def drain_older_than(self, seq: int) -> None:
-        """Remove entries older than *seq* that have drained (commit)."""
-        kept = [
-            e
-            for e in self._entries
-            if e.seq >= seq or e.drain_cycle is None
-        ]
-        if len(kept) != len(self._entries):
-            for entry in self._entries:
-                if entry.seq < seq and entry.drain_cycle is not None:
-                    self._uncover(entry)
-            self._entries = kept
-            self._seqs = [e.seq for e in kept]
-
     def evict_oldest_before(self, seq: int) -> bool:
         """Drop the oldest buffered store if it is older than *seq*.
 

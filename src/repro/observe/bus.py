@@ -6,8 +6,8 @@ The processor's hook points are all of the form::
         observer.emit_issue(entry, cycle)
 
 so the disabled path costs one attribute load and a ``None`` test per
-site (measured < 2% of simulation wall time — ``tools/perf_bench.py
---observe-overhead``). When a bus *is* attached, each hook fans the
+site, which every untraced workload of the repository benchmark
+(``bench/``) pays. When a bus *is* attached, each hook fans the
 notification out to the registered sinks.
 
 Sinks declare what they want:

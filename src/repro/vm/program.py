@@ -58,7 +58,3 @@ class Program:
         if label not in self.labels:
             raise KeyError(f"{self.name}: unknown label {label!r}")
         return self.labels[label]
-
-    def static_count(self, op: OpClass) -> int:
-        """Number of static instructions of class *op*."""
-        return sum(1 for inst in self.instructions if inst.op is op)

@@ -63,7 +63,19 @@ def test_check_run_as_policy_with_reference(capsys):
         "--timing", "1500", "--warmup", "500", "--stride", "4",
     ])
     assert rc == 0
-    assert "AS/ORACLE@w64" in capsys.readouterr().out
+    assert "AS/ORACLE+1cy@w64" in capsys.readouterr().out
+
+
+def test_check_run_label_names_the_scheduler_latency(capsys):
+    """The label is the checked machine's own, as ``observe`` prints
+    it: an address-scheduler latency shows as ``+Ncy``."""
+    rc = cli.main([
+        "check", "run", "126.gcc", "--scheduling", "AS", "--policy", "NAV",
+        "--latency", "2", "--timing", "300", "--warmup", "100",
+        "--no-reference",
+    ])
+    assert rc == 0
+    assert "checked 126.gcc AS/NAV+2cy@w128:" in capsys.readouterr().out
 
 
 def test_check_selftest_exits_zero(capsys, tmp_path):
@@ -99,6 +111,22 @@ def test_check_fuzz_rejects_bad_corpus(capsys, tmp_path):
     rc = cli.main(["check", "fuzz", "--corpus", str(corpus)])
     assert rc == 2
     assert "cannot load corpus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "tolerance", ["nan", "inf", "1", "1.5", "-0.01"],
+)
+def test_check_fuzz_rejects_a_tolerance_outside_0_to_1(capsys, tolerance):
+    """R3 (oracle dominance) flags a cell whose IPC times
+    ``1 - tolerance`` beats ORACLE's: a tolerance of 1 or more, or NaN,
+    can never flag one, and a negative one flags near-ties."""
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["check", "fuzz", "--budget", "0",
+                  "--tolerance", tolerance])
+    assert excinfo.value.code == 2
+    assert "--tolerance must be a finite number in [0, 1)" in (
+        capsys.readouterr().err
+    )
 
 
 def test_check_requires_a_mode():

@@ -10,6 +10,7 @@ from repro.config import (
     SpeculationPolicy,
 )
 from repro.experiments import runner
+from repro.experiments.export import result_row
 from repro.experiments.parallel import run_matrix_parallel
 from repro.experiments.runner import (
     ExperimentSettings,
@@ -161,6 +162,7 @@ def test_failing_cell_fails_the_matrix(tmp_path, monkeypatch, workers):
 _KILL_A_WORKER = """
 import multiprocessing, os, signal, sys
 from repro.experiments import runner
+from repro.experiments.export import result_row
 from repro.experiments.parallel import run_matrix_parallel
 from tests.test_experiments_parallel import _BENCHES, _CONFIGS, _SETTINGS
 
@@ -233,7 +235,7 @@ def test_killed_worker_fails_the_matrix(tmp_path):
 def test_warm_rerun_performs_zero_resimulations(tmp_path):
     """Acceptance: cold matrix, then a warm re-run served entirely
     from the persistent store — zero re-simulations, verified from
-    the telemetry counters."""
+    the telemetry counters, and every exported field unchanged."""
     set_store(tmp_path / "store")
     cold_tele = tmp_path / "cold.jsonl"
     cold = run_matrix_parallel(
@@ -254,9 +256,10 @@ def test_warm_rerun_performs_zero_resimulations(tmp_path):
     assert warm_summary["store_hits"] == len(_BENCHES) * len(_CONFIGS)
     for label in _CONFIGS:
         for name in _BENCHES:
-            assert warm[label][name].ipc == pytest.approx(
-                cold[label][name].ipc
+            assert result_row(warm[label][name]) == result_row(
+                cold[label][name]
             )
+
 
 def test_interrupt_emits_matrix_abort_serial(tmp_path, monkeypatch):
     """KeyboardInterrupt mid-matrix ends the stream with matrix_abort

@@ -63,7 +63,7 @@ def teardown_function(_):
 
 
 def test_forked_workers_inherit_precompiled_traces(tmp_path):
-    """Acceptance: with precompilation on, no worker regenerates a
+    """Acceptance: a pool precompiles, so no worker regenerates a
     trace — every shard reports trace_source == "inherited"."""
     tele = tmp_path / "run.jsonl"
     run_matrix_parallel(
@@ -80,18 +80,6 @@ def test_forked_workers_inherit_precompiled_traces(tmp_path):
     assert all(e["trace_wall"] >= 0.0 for e in finishes)
     matrix = [e for e in events if e["event"] == "matrix_finish"][0]
     assert matrix["trace_wall"] >= 0.0
-
-
-def test_precompile_disabled_regenerates_per_worker(tmp_path):
-    tele = tmp_path / "run.jsonl"
-    run_matrix_parallel(
-        _BENCHES, _CONFIGS, _SETTINGS, workers=2,
-        telemetry=str(tele), precompile=False,
-    )
-    events = read_telemetry(tele)
-    assert not any(e["event"] == "trace_precompile" for e in events)
-    finishes = [e for e in events if e["event"] == "shard_finish"]
-    assert all(e["trace_source"] == "generated" for e in finishes)
 
 
 def test_precompile_reports_store_hits(tmp_path):

@@ -190,7 +190,6 @@ def _patch_commit_reorder(processor) -> None:
         index = 1 if len(entries) > 1 else 0  # bug: skips the head
         entry = entries[index]
         del entries[index]
-        del _window._by_seq[entry.seq]
         dest = entry.inst.dest
         if dest is not None and _window._last_writer[dest] is entry:
             _window._last_writer[dest] = None

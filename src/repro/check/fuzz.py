@@ -298,6 +298,27 @@ def _run_split_cell(
     return failures
 
 
+def check_relation_bounds(
+    tolerance: float = 0.02, nav_rate_threshold: float = 0.01
+) -> None:
+    """Raise ``ValueError`` naming a bound that would switch a relation
+    off or make it fire on clean cells.
+
+    NaN fails every comparison, so a NaN bound silently disables R3 or
+    R5; a negative tolerance flags a policy merely matching ORACLE.
+    """
+    if not 0 <= tolerance < 1:
+        raise ValueError(
+            f"tolerance must be a finite number in [0, 1) "
+            f"(got {tolerance:g})"
+        )
+    if not 0 <= nav_rate_threshold <= 1:
+        raise ValueError(
+            f"nav_rate_threshold must be a finite number in [0, 1] "
+            f"(got {nav_rate_threshold:g})"
+        )
+
+
 def run_cell(
     cell: FuzzCell,
     tolerance: float = 0.02,
@@ -306,6 +327,7 @@ def run_cell(
     """Run every policy of *cell*'s family; return relation failures."""
     from repro.experiments.runner import ExperimentSettings, run_benchmark
 
+    check_relation_bounds(tolerance, nav_rate_threshold)
     if cell.split_units:
         return _run_split_cell(cell, nav_rate_threshold)
     settings = ExperimentSettings(

@@ -3,9 +3,14 @@
 A ``wants_raw`` + ``wants_cycles`` observer sink asserting structural
 invariants the timing model must never break:
 
-* **age order** — the window holds strictly increasing seqs; the store
-  buffer, the unexecuted-store trackers and the address scheduler's
+* **age order** — the window holds consecutive seqs (``Window.get``
+  finds an entry by its offset from the head); the store buffer, the
+  unexecuted-store trackers and the address scheduler's
   posted/unposted lists are FIFO in program order;
+* **pooled address generation** — every live load and store-write
+  pool entry has generated its address by the next cycle (the memory
+  scan, which runs before this cycle's address generations, relies on
+  it);
 * **structure consistency** — the store buffer's parallel seq index
   matches its entries and respects capacity; the address scheduler's
   posted records match their seq index; a buffered store younger than
@@ -243,18 +248,34 @@ class InvariantChecker(RawObserverSink):
         cycle = processor.cycle
         report = self.report
 
-        # Window: strictly increasing seqs, index consistent.
-        entries = processor.window._entries
-        prev = -1
-        for entry in entries:
-            if entry.seq <= prev:
+        # Window: consecutive seqs, so lookup by position is exact.
+        prev = None
+        for entry in processor.window._entries:
+            if prev is not None and entry.seq != prev + 1:
                 report.add(
                     "window-age-order", "invariants",
-                    f"window holds seq {entry.seq} after {prev}",
+                    f"window holds seq {entry.seq} after {prev} "
+                    f"(seqs must be consecutive)",
                     cycle=cycle, seq=entry.seq,
                 )
                 break
             prev = entry.seq
+
+        # Memory pools: every live entry's address is generated by the
+        # next cycle. The item lists are read in place, because
+        # ``live_entries()`` compacts a pool.
+        for pool in (processor.load_pool, processor.store_write_pool):
+            for _, _, entry in pool._items:
+                if not entry.in_mem_pool or entry.squashed:
+                    continue
+                agen = entry.agen_done
+                if agen is None or agen > cycle + 1:
+                    report.add(
+                        "mem-pool-agen", "invariants",
+                        f"{pool.name} holds seq {entry.seq} with address "
+                        f"generation at {agen} (cycle {cycle})",
+                        cycle=cycle, seq=entry.seq,
+                    )
 
         # Store buffer: FIFO age order, capacity, parallel index,
         # and no zombie entries surviving a squash.

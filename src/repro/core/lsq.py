@@ -35,10 +35,6 @@ class UnexecutedStoreTracker:
         cut = bisect.bisect_left(self._seqs, from_seq)
         del self._seqs[cut:]
 
-    def any_older_than(self, seq: int) -> bool:
-        """Is any tracked store older than *seq*?"""
-        return bool(self._seqs) and self._seqs[0] < seq
-
     def oldest(self) -> Optional[int]:
         return self._seqs[0] if self._seqs else None
 

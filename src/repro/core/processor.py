@@ -101,6 +101,8 @@ class Processor:
         )
         self.oracle = OracleDisambiguator(trace, self.dep_info)
         self.hierarchy = MemoryHierarchy(config)
+        #: The core's loads and stores go straight to the D-cache.
+        self._dcache_access = self.hierarchy.dcache.access
         self.branch_unit = BranchUnit(config.branch)
 
         memdep = config.memdep
@@ -478,22 +480,20 @@ class Processor:
         self._progress = True
 
     def _on_store_write(self, store: Entry) -> None:
-        if store.write_cycle is not None and (
-            store.write_cycle > self.cycle
-        ):
-            # Pushed out by selective re-execution; re-arm.
-            self._schedule(store.write_cycle, _EV_WRITE, store)
-            return
         cycle = store.write_cycle
+        if cycle > self.cycle:
+            # Pushed out by selective re-execution; re-arm.
+            self._schedule(cycle, _EV_WRITE, store)
+            return
         store.executed = True
-        self.hierarchy.store(store.inst.addr, cycle)
+        self._dcache_access(store.inst.addr, cycle, True)
         self._progress = True
 
-        violators = [
-            load
-            for load in self.detector.loads_violating(store.seq, cycle)
-            if load.forwarded_from != store.seq
-        ]
+        # Most stores have no dependent load that read early: the
+        # detector answers those with an empty list.
+        violators = self.detector.loads_violating(store.seq, cycle)
+        if not violators:
+            return
         if self.as_mode:
             violators = [
                 load for load in violators
@@ -541,21 +541,18 @@ class Processor:
 
     def _store_buffer_insert(self, store: Entry, data_ready: int) -> None:
         buffer = self.store_buffer
-        if buffer.full:
-            head = self.window.head()
-            head_seq = head.seq if head else store.seq
+        if len(buffer._entries) >= buffer.capacity:
+            entries = self.window._entries
+            head_seq = entries[0].seq if entries else store.seq
             # Buffer entries are seq-sorted, so the oldest store is the
             # only eviction candidate.
             if not buffer.evict_oldest_before(head_seq):
                 # pragma: no cover - capacity equals window size
                 raise SimulationStuck("store buffer wedged")
+        inst = store.inst
         buffer.insert(StoreBufferEntry(
-            seq=store.seq,
-            addr=store.inst.addr,
-            size=store.inst.size,
-            value=store.inst.value,
-            data_ready_cycle=data_ready,
-            drain_cycle=store.write_cycle,
+            store.seq, inst.addr, inst.size, inst.value, data_ready,
+            store.write_cycle,
         ))
 
     # -- squash -------------------------------------------------------------
@@ -718,7 +715,6 @@ class Processor:
     def _dispatch(self) -> None:
         window = self.window
         entries = window._entries
-        by_seq = window._by_seq
         last_writer = window._last_writer
         capacity = window.size
         # Occupancy is tracked locally: ``len(window)`` per dispatched
@@ -777,7 +773,6 @@ class Processor:
             if dest is not None and dest != REG_ZERO:
                 last_writer[dest] = entry
             entries.append(entry)
-            by_seq[entry.seq] = entry
             budget -= 1
             self._progress = True
             if entry.is_load:
@@ -989,7 +984,6 @@ class Processor:
         entry.issue_cycle = self.cycle
         entry.agen_done = self.cycle + 1
         visible = self.addr_sched.post_address(entry, entry.agen_done)
-        entry.posted_cycle = visible
         self._schedule(visible, _EV_POST, entry)
         if not entry.data_pending:
             self.store_write_pool.push(entry)
@@ -1047,9 +1041,6 @@ class Processor:
                 break
             if entry.is_store:
                 ready = entry.data_ready
-                agen = entry.agen_done or 0
-                if agen > ready:
-                    ready = agen
                 if ready > cycle:
                     if hint is None or ready < hint:
                         hint = ready
@@ -1068,30 +1059,18 @@ class Processor:
                 progress = True
                 continue
             # -- loads: the policy gate (Section 2.1), inlined ---------
-            agen = entry.agen_done
-            if agen is None or agen > cycle:
-                if agen is not None and (hint is None or agen < hint):
-                    hint = agen
-                continue
             if kind == _GATE_OPEN:
                 pass  # NAV: speculate as soon as the address is ready
             elif kind == _GATE_ALL_STORES or kind == _GATE_BARRIER:
                 if blocked_from is not None and blocked_from < entry.seq:
                     # A NAS pool holds loads only, so every later
-                    # candidate is a younger load: blocked too once its
-                    # address is ready. None takes a port, so the port
-                    # test cannot end the scan; finish it with the
-                    # address hints and first waits alone.
+                    # candidate is a younger load and blocked too. None
+                    # takes a port, so the port test cannot end the
+                    # scan; finish it with the first waits alone.
                     if entry.fd_wait_start is None:
                         note_fd_wait(entry)
                     for entry in scan:
-                        agen = entry.agen_done
-                        if agen is None or agen > cycle:
-                            if agen is not None and (
-                                hint is None or agen < hint
-                            ):
-                                hint = agen
-                        elif entry.fd_wait_start is None:
+                        if entry.fd_wait_start is None:
                             note_fd_wait(entry)
                     break
             elif kind == _GATE_PREDICTED:
@@ -1178,27 +1157,21 @@ class Processor:
     def _access_memory(self, entry: Entry) -> None:
         cycle = self.cycle
         inst = entry.inst
+        seq = entry.seq
         entry.mem_issue_cycle = cycle
-        if self.unexec_stores.any_older_than(entry.seq):
+        unexecuted = self.unexec_stores._seqs  # seq-sorted
+        if unexecuted and unexecuted[0] < seq:
             entry.speculative = True
-        dep_entry = (
-            self.window.get(entry.dep_store_seq)
-            if entry.dep_store_seq is not None else None
-        )
-        if dep_entry is not None and not dep_entry.executed:
-            entry.premature = True
-        buffered, full = self.store_buffer.search(
-            entry.seq, inst.addr, inst.size
-        )
-        if buffered is not None and full:
+        buffered, full = self.store_buffer.search(seq, inst.addr, inst.size)
+        if buffered is None:
+            complete = self._dcache_access(inst.addr, cycle, False)
+        elif full:
             complete = max(cycle + 1, buffered.data_ready_cycle + 1)
             entry.forwarded_from = buffered.seq
-        elif buffered is not None:
+        else:
             # Partial overlap: wait for the store, then read the cache.
             start = max(cycle, buffered.data_ready_cycle)
-            complete = self.hierarchy.load(inst.addr, start)
-        else:
-            complete = self.hierarchy.load(inst.addr, cycle)
+            complete = self._dcache_access(inst.addr, start, False)
         entry.complete_cycle = complete
         self._schedule(complete, _EV_COMPLETE, entry)
         if self.observer is not None:

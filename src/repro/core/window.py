@@ -9,7 +9,7 @@ window from the youngest end.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, List, Optional, Sequence, Tuple
 
 from repro.isa.instruction import DynInst
 from repro.isa.opcodes import OpClass
@@ -36,12 +36,12 @@ class Entry:
         # store model (address early, data late) is expressible.
         "addr_pending", "addr_ready", "data_pending", "data_ready",
         "issue_cycle", "agen_done", "mem_issue_cycle",
-        "complete_cycle", "write_cycle", "posted_cycle",
+        "complete_cycle", "write_cycle",
         "executed", "squashed", "in_ready_pool", "in_mem_pool",
         "waiters", "producers", "consumers",
         # memory-dependence bookkeeping
         "dep_store_seq", "stale_equal", "speculative",
-        "forwarded_from", "premature",
+        "forwarded_from",
         # policy annotations
         "sync_synonym", "sync_wait_store", "predicted_dep", "barrier",
         # Table 3 accounting
@@ -68,7 +68,6 @@ class Entry:
         self.mem_issue_cycle: Optional[int] = None
         self.complete_cycle: Optional[int] = None
         self.write_cycle: Optional[int] = None
-        self.posted_cycle: Optional[int] = None
         self.executed = False
         self.squashed = False
         self.in_ready_pool = False
@@ -85,7 +84,6 @@ class Entry:
         self.stale_equal = True
         self.speculative = False
         self.forwarded_from: Optional[int] = None
-        self.premature = False
         self.sync_synonym: Optional[int] = None
         self.sync_wait_store: Optional["Entry"] = None
         self.predicted_dep = False
@@ -113,8 +111,13 @@ class Window:
 
     ``Processor._dispatch`` inserts entries: it wires each one's
     sources through the rename map, claims its destination's slot and
-    appends it to ``_entries`` and ``_by_seq``. The window retires and
-    squashes them.
+    appends it to ``_entries``. The window retires and squashes them.
+
+    ``_entries`` always holds a gap-free run of seqs: dispatch appends
+    in program order, commit pops the oldest, and a squash truncates
+    the young end while fetch rewinds to the squashed seq. So an
+    entry's position is its seq's offset from the head's
+    (``InvariantChecker``'s ``window-age-order`` checks the run).
     """
 
     def __init__(self, size: int) -> None:
@@ -122,7 +125,6 @@ class Window:
             raise ValueError("window size must be positive")
         self.size = size
         self._entries: Deque[Entry] = deque()
-        self._by_seq: Dict[int, Entry] = {}
         self._last_writer: List[Optional[Entry]] = [None] * TOTAL_REGS
 
     def __len__(self) -> int:
@@ -131,17 +133,18 @@ class Window:
     def __iter__(self):
         return iter(self._entries)
 
-    def head(self) -> Optional[Entry]:
-        """Oldest in-flight entry."""
-        return self._entries[0] if self._entries else None
-
     def get(self, seq: int) -> Optional[Entry]:
-        return self._by_seq.get(seq)
+        """The in-flight entry with *seq*, or None."""
+        entries = self._entries
+        if entries:
+            index = seq - entries[0].seq
+            if 0 <= index < len(entries):
+                return entries[index]
+        return None
 
     def commit_head(self) -> Entry:
         """Remove and return the oldest entry."""
         entry = self._entries.popleft()
-        del self._by_seq[entry.seq]
         dest = entry.inst.dest
         if dest is not None and self._last_writer[dest] is entry:
             self._last_writer[dest] = None
@@ -158,14 +161,12 @@ class Window:
         """
         squashed: List[Entry] = []
         entries = self._entries
-        by_seq = self._by_seq
         last_writer = self._last_writer
         dirty = None
         while entries and entries[-1].seq >= seq:
             entry = entries.pop()
             entry.squashed = True
             entry.producers = entry.waiters = entry.consumers = ()
-            del by_seq[entry.seq]
             squashed.append(entry)
             dest = entry.inst.dest
             if dest is not None and last_writer[dest] is entry:

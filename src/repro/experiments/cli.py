@@ -661,14 +661,15 @@ def _check_main(argv) -> int:
 
     # args.mode == "fuzz"
     _require_at_least(fuzz_p, (("--budget", args.budget, 0),))
-    if not 0 <= args.tolerance < 1:
-        fuzz_p.error(
-            f"--tolerance must be a finite number in [0, 1) "
-            f"(got {args.tolerance:g})"
-        )
     from repro.check.fuzz import (
-        FuzzCell, fuzz as run_fuzz, load_corpus, save_corpus,
+        FuzzCell, check_relation_bounds, fuzz as run_fuzz, load_corpus,
+        save_corpus,
     )
+
+    try:
+        check_relation_bounds(args.tolerance)
+    except ValueError as exc:
+        fuzz_p.error(f"--{exc}")  # the message starts with the name
 
     _apply_backend(args.backend)
     corpus = []

@@ -34,8 +34,9 @@ class ViolationDetector:
     def loads_violating(self, store_seq: int, write_cycle: int) -> List:
         """Dependent loads that read memory at or before *write_cycle*.
 
-        Loads that have not accessed memory yet, were squashed, or read
-        after the store's write are not violations.
+        Loads that have not accessed memory yet, were squashed, read
+        after the store's write, or took their value from this very
+        store through the store buffer are not violations.
         """
         violators = []
         for load in self._by_store.get(store_seq, ()):
@@ -43,7 +44,9 @@ class ViolationDetector:
                 continue
             if load.mem_issue_cycle is None:
                 continue
-            if load.mem_issue_cycle <= write_cycle:
+            if load.mem_issue_cycle <= write_cycle and (
+                load.forwarded_from != store_seq
+            ):
                 violators.append(load)
         return violators
 

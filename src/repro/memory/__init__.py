@@ -1,7 +1,7 @@
 """Memory hierarchy (Table 2): banked lockup-free caches, store buffer."""
 
 from repro.memory.mshr import MSHRBank, MSHRFile
-from repro.memory.cache import SetAssocCache, AccessResult
+from repro.memory.cache import SetAssocCache
 from repro.memory.main_memory import MainMemory
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.store_buffer import StoreBuffer, StoreBufferEntry
@@ -10,7 +10,6 @@ __all__ = [
     "MSHRBank",
     "MSHRFile",
     "SetAssocCache",
-    "AccessResult",
     "MainMemory",
     "MemoryHierarchy",
     "StoreBuffer",

@@ -19,27 +19,6 @@ from repro.memory.mshr import MSHRFile
 NextLevel = Callable[[int, int, bool], int]
 
 
-class AccessResult:
-    """Outcome of one cache access.
-
-    A plain slotted class rather than a frozen dataclass: one is built
-    per access and ``object.__setattr__`` (the frozen-init path) is
-    measurable there.
-    """
-
-    __slots__ = ("complete_cycle", "hit")
-
-    def __init__(self, complete_cycle: int, hit: bool) -> None:
-        self.complete_cycle = complete_cycle
-        self.hit = hit
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"AccessResult(complete_cycle={self.complete_cycle}, "
-            f"hit={self.hit})"
-        )
-
-
 class SetAssocCache:
     """One cache level. Use :meth:`access` for all traffic."""
 
@@ -81,12 +60,12 @@ class SetAssocCache:
 
     # -- access -----------------------------------------------------------
 
-    def access(self, addr: int, cycle: int, write: bool = False) -> AccessResult:
+    def access(self, addr: int, cycle: int, write: bool = False) -> int:
         """Access *addr* starting no earlier than *cycle*.
 
-        Returns the completion cycle (data available / write accepted) and
-        whether the access hit. The tag array is updated (allocate-on-miss
-        for both reads and writes; LRU).
+        Returns the completion cycle (data available / write accepted)
+        and counts the access in ``hits`` or ``misses``. The tag array
+        is updated (allocate-on-miss for both reads and writes; LRU).
         """
         block = addr >> self._block_shift
         bank = block & self._bank_mask
@@ -123,9 +102,9 @@ class SetAssocCache:
                 pending = mshr_bank.lookup(tag, start)
                 if pending is not None:
                     self.misses += 1
-                    return AccessResult(max(pending, start + 1), False)
+                    return max(pending, start + 1)
             self.hits += 1
-            return AccessResult(start + self._hit_latency, True)
+            return start + self._hit_latency
 
         self.misses += 1
 
@@ -144,7 +123,7 @@ class SetAssocCache:
             ways.insert(0, tag)
             if len(ways) > self._assoc:
                 ways.pop()
-        return AccessResult(max(ready, start + 1), False)
+        return max(ready, start + 1)
 
     def touch(self, addr: int) -> None:
         """Install the block holding *addr* with no timing side effects.

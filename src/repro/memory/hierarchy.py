@@ -30,7 +30,7 @@ class MemoryHierarchy:
         # back to this hierarchy, so a finished machine is freed by
         # reference counting instead of waiting for the cycle collector.
         def l2_fill(addr: int, cycle: int, write: bool) -> int:
-            return l2_access(addr, cycle, write).complete_cycle + transfer
+            return l2_access(addr, cycle, write) + transfer
 
         self.dcache = SetAssocCache(config.dcache, l2_fill)
         self.icache = SetAssocCache(config.icache, l2_fill)
@@ -39,15 +39,15 @@ class MemoryHierarchy:
 
     def load(self, addr: int, cycle: int) -> int:
         """Completion cycle of a data load issued at *cycle*."""
-        return self.dcache.access(addr, cycle, write=False).complete_cycle
+        return self.dcache.access(addr, cycle, False)
 
     def store(self, addr: int, cycle: int) -> int:
         """Completion cycle of a data store issued at *cycle*."""
-        return self.dcache.access(addr, cycle, write=True).complete_cycle
+        return self.dcache.access(addr, cycle, True)
 
     def fetch(self, addr: int, cycle: int) -> int:
         """Completion cycle of an instruction fetch issued at *cycle*."""
-        return self.icache.access(addr, cycle, write=False).complete_cycle
+        return self.icache.access(addr, cycle, False)
 
     def warm(self, addresses, instructions=()) -> None:
         """Pre-touch *addresses* (data) and *instructions* (code).

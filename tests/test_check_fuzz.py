@@ -133,6 +133,33 @@ def test_relations_catch_planted_inconsistencies(monkeypatch):
     } <= relations
 
 
+@pytest.mark.parametrize("name, value", [
+    ("tolerance", float("nan")),
+    ("tolerance", -0.5),
+    ("tolerance", 1.0),
+    ("nav_rate_threshold", float("nan")),
+    ("nav_rate_threshold", -0.01),
+    ("nav_rate_threshold", 1.5),
+])
+def test_library_callers_cannot_switch_relations_off(
+    monkeypatch, name, value
+):
+    """A NaN bound would disable R3 or R5, a negative tolerance flags
+    clean cells: ``run_cell`` (so ``fuzz`` and ``minimize_cell``)
+    rejects both before simulating anything."""
+    from repro.experiments import runner
+
+    def no_simulation(*_):
+        raise AssertionError("simulated with an invalid bound")
+
+    monkeypatch.setattr(runner, "run_benchmark", no_simulation)
+    cell = FuzzCell("126.gcc", 0, 128, "NAS", 0, 1500, 500)
+    with pytest.raises(ValueError, match=name):
+        fuzz(budget=0, corpus=[cell], minimize=False, **{name: value})
+    with pytest.raises(ValueError, match=name):
+        minimize_cell(cell, **{name: value})
+
+
 def test_minimize_shrinks_while_failure_persists(monkeypatch):
     # ``repro.check`` re-exports the ``fuzz`` *function* under the
     # submodule's name, so fetch the real module for patching.

@@ -7,7 +7,9 @@ import pytest
 from repro.check import InvariantChecker
 from repro.check.faults import _inst, _micro_trace
 from repro.check.report import CheckReport
-from repro.core.lsq import UnexecutedStoreTracker
+from repro.core.lsq import MemPool, UnexecutedStoreTracker
+from repro.core.window import Entry
+from repro.isa.instruction import DynInst
 from repro.isa.opcodes import OpClass
 from repro.memory.store_buffer import StoreBuffer, StoreBufferEntry
 
@@ -31,6 +33,8 @@ def _fake_processor(**overrides):
         store_buffer=StoreBuffer(capacity=4),
         unexec_stores=UnexecutedStoreTracker(),
         barrier_stores=UnexecutedStoreTracker(),
+        load_pool=MemPool("load-pool"),
+        store_write_pool=MemPool("store-write-pool"),
         addr_sched=None,
     )
     for name, value in overrides.items():
@@ -67,6 +71,30 @@ def test_window_age_order_violation_detected():
                SimpleNamespace(seq=2, is_store=False)]
     checker.on_cycle(_fake_processor(window=_fake_window(entries)))
     assert "window-age-order" in report.counts
+
+
+def test_window_gap_detected():
+    # Increasing but not consecutive: ``Window.get`` would find the
+    # wrong entry by position.
+    checker, report = _checker()
+    entries = [SimpleNamespace(seq=3, is_store=False),
+               SimpleNamespace(seq=5, is_store=False)]
+    checker.on_cycle(_fake_processor(window=_fake_window(entries)))
+    assert report.counts == {"window-age-order": 1}
+
+
+def test_pooled_load_without_generated_address_detected():
+    checker, report = _checker()
+    processor = _fake_processor()  # at cycle 7
+    for seq, agen in ((1, 8), (2, 9)):
+        load = Entry(DynInst(seq=seq, pc=4 * seq, op=OpClass.LOAD,
+                             addr=0x100), 0)
+        load.agen_done = agen
+        processor.load_pool.push(load)
+    checker.on_cycle(processor)
+    # Seq 1 generates its address next cycle; seq 2 is a cycle late.
+    assert report.counts == {"mem-pool-agen": 1}
+    assert [v.seq for v in report.violations] == [2]
 
 
 def test_store_buffer_index_divergence_detected():

@@ -17,12 +17,12 @@ def test_unexecuted_tracker_basics():
     tracker = UnexecutedStoreTracker()
     tracker.on_dispatch(2)
     tracker.on_dispatch(5)
-    assert tracker.any_older_than(3)
-    assert not tracker.any_older_than(2)
+    assert tracker.oldest() == 2
     tracker.on_execute(2)
-    assert not tracker.any_older_than(4)
-    assert tracker.any_older_than(6)
     assert tracker.oldest() == 5
+    tracker.on_execute(5)
+    assert tracker.oldest() is None
+    assert len(tracker) == 0
 
 
 def test_unexecuted_tracker_squash():

@@ -106,17 +106,16 @@ def test_commit_in_order():
 
 
 def test_squash_truncates_and_rebuilds_rename_map():
-    insts = (_inst(0, dest=5), _inst(1, dest=5), _inst(2),
-             _inst(3, srcs=(5,)))
+    insts = (_inst(0, dest=5), _inst(1, dest=5), _inst(2))
     processor = _machine(*insts)
-    old_producer, _, _ = _dispatch(processor, *insts[:3])
-    squashed = processor.window.squash_from(1)
+    old_producer, _, _ = _dispatch(processor, *insts)
+    window = processor.window
+    squashed = window.squash_from(1)
     assert [e.seq for e in squashed] == [2, 1]
     assert all(e.squashed for e in squashed)
+    assert [e.seq for e in window] == [0]
     # The rename map now points at the surviving producer of r5.
-    [consumer] = _dispatch(processor, insts[3], cycle=1)
-    assert consumer.producers == [old_producer]
-    assert old_producer.waiters == [(consumer, False)]
+    assert window._last_writer[5] is old_producer
 
 
 def test_redispatch_after_squash():
@@ -131,8 +130,15 @@ def test_redispatch_after_squash():
 
 
 def test_get_by_seq():
-    insts = (_inst(0),)
+    insts = tuple(_inst(seq) for seq in range(4))
     processor = _machine(*insts)
-    [entry] = _dispatch(processor, *insts)
-    assert processor.window.get(0) is entry
-    assert processor.window.get(9) is None
+    entries = _dispatch(processor, *insts)
+    window = processor.window
+    assert [window.get(seq) for seq in range(4)] == entries
+    assert window.get(9) is None
+    window.commit_head()
+    # Found by offset from the new head; a retired seq is not found
+    # (a negative offset must not wrap to the young end).
+    assert window.get(0) is None
+    assert [window.get(seq) for seq in range(1, 4)] == entries[1:]
+    assert window.get(4) is None

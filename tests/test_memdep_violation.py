@@ -4,10 +4,12 @@ from repro.memdep.violation import ViolationDetector
 
 
 class _FakeLoad:
-    def __init__(self, seq, mem_issue_cycle=None, squashed=False):
+    def __init__(self, seq, mem_issue_cycle=None, squashed=False,
+                 forwarded_from=None):
         self.seq = seq
         self.mem_issue_cycle = mem_issue_cycle
         self.squashed = squashed
+        self.forwarded_from = forwarded_from
 
 
 def test_premature_read_detected():
@@ -15,6 +17,14 @@ def test_premature_read_detected():
     load = _FakeLoad(seq=10, mem_issue_cycle=50)
     det.register_load(load, store_seq=5)
     assert det.loads_violating(5, write_cycle=60) == [load]
+
+
+def test_load_forwarded_from_the_store_is_safe():
+    # It read the store's own value from the store buffer.
+    det = ViolationDetector()
+    load = _FakeLoad(seq=10, mem_issue_cycle=50, forwarded_from=5)
+    det.register_load(load, store_seq=5)
+    assert det.loads_violating(5, write_cycle=60) == []
 
 
 def test_read_after_write_is_safe():

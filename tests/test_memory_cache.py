@@ -33,24 +33,26 @@ def _small_cache(next_latency=50, **overrides):
 def test_miss_then_hit():
     cache, calls = _small_cache()
     first = cache.access(0x1000, cycle=0)
-    assert not first.hit
+    assert (cache.hits, cache.misses) == (0, 1)
     assert len(calls) == 1
-    second = cache.access(0x1000, cycle=first.complete_cycle)
-    assert second.hit
-    assert second.complete_cycle == first.complete_cycle + 2
+    second = cache.access(0x1000, cycle=first)
+    assert (cache.hits, cache.misses) == (1, 1)
+    assert second == first + 2
 
 
 def test_same_block_different_words_hit():
     cache, _ = _small_cache()
-    done = cache.access(0x1000, 0).complete_cycle
-    assert cache.access(0x101C, done).hit  # same 32-byte block
+    done = cache.access(0x1000, 0)
+    cache.access(0x101C, done)  # same 32-byte block
+    assert cache.hits == 1
 
 
 def test_secondary_miss_merges():
     cache, calls = _small_cache()
-    cache.access(0x1000, 0)
-    result = cache.access(0x1004, 1)  # same block, fill in flight
-    assert not result.hit
+    done = cache.access(0x1000, 0)
+    merged = cache.access(0x1004, 1)  # same block, fill in flight
+    assert (cache.hits, cache.misses) == (0, 2)
+    assert merged == done  # completes with the fill it merged into
     assert len(calls) == 1  # no second request to the next level
     assert cache.mshr_merges == 1
 
@@ -62,10 +64,10 @@ def test_lru_eviction():
     sets_per_bank = cache.config.sets_per_bank
     stride = 32 * 2 * sets_per_bank  # same bank, same set
     a, b, c = 0x1000, 0x1000 + stride, 0x1000 + 2 * stride
-    t = cache.access(a, 0).complete_cycle
-    t = cache.access(b, t).complete_cycle
-    t = max(t, cache.access(a, t).complete_cycle)  # refresh a
-    t = cache.access(c, t).complete_cycle  # evicts b
+    t = cache.access(a, 0)
+    t = cache.access(b, t)
+    t = max(t, cache.access(a, t))  # refresh a
+    t = cache.access(c, t)  # evicts b
     assert cache.contains(a) and cache.contains(c)
     assert not cache.contains(b)
 
@@ -73,11 +75,11 @@ def test_lru_eviction():
 def test_bank_conflict_serialises():
     cache, _ = _small_cache()
     block = 0x1000
-    done = cache.access(block, 0).complete_cycle
+    done = cache.access(block, 0)
     # Two accesses to the same bank in the same cycle: second is delayed.
     r1 = cache.access(block, done)
     r2 = cache.access(block, done)
-    assert r2.complete_cycle == r1.complete_cycle + 1
+    assert r2 == r1 + 1
     assert cache.bank_conflicts >= 1
 
 
@@ -142,9 +144,11 @@ def test_random_geometry_matches_lru_model(data):
         resident = block in ways
         if op == "access":
             cycle = step * _SPACING
-            result = cache.access(addr, cycle, write)
-            assert result.hit == resident
+            hits = cache.hits
+            done = cache.access(addr, cycle, write)
+            assert cache.hits - hits == resident
             if resident:
+                assert done == cycle + cache.config.hit_latency
                 ways.remove(block)
             else:
                 expected_calls.append((

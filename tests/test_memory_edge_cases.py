@@ -20,7 +20,7 @@ def test_mshr_exhaustion_serialises_misses():
     cache = _tiny_cache(primary=1)
     first = cache.access(0x000, 0)
     second = cache.access(0x400, 0)  # different block, MSHRs full
-    assert second.complete_cycle >= first.complete_cycle
+    assert second >= first
     assert cache.mshr_stalls >= 1
 
 
@@ -29,7 +29,7 @@ def test_parallel_misses_with_enough_mshrs():
     first = cache.access(0x000, 0)
     second = cache.access(0x400, 1)
     # Fully overlapped fills: completion within a couple cycles.
-    assert abs(second.complete_cycle - first.complete_cycle) <= 2
+    assert abs(second - first) <= 2
     assert cache.mshr_stalls == 0
 
 
@@ -38,7 +38,7 @@ def test_secondary_merge_limit():
     cache.access(0x000, 0)
     a = cache.access(0x004, 1)  # merge 1: OK
     b = cache.access(0x008, 2)  # merge 2: over limit, delayed
-    assert b.complete_cycle >= a.complete_cycle
+    assert b >= a
 
 
 def test_l2_block_spans_multiple_l1_blocks():

@@ -1,6 +1,7 @@
 """Pipeline recorder, trace exporters, and the summary schema contract."""
 
 import dataclasses
+import importlib.util
 import json
 import os
 
@@ -25,6 +26,10 @@ from repro.workloads.catalog import get_trace
 SCHEMA_PATH = os.path.join(
     os.path.dirname(__file__), os.pardir,
     "schemas", "observe_summary.schema.json",
+)
+VALIDATOR_PATH = os.path.join(
+    os.path.dirname(__file__), os.pardir,
+    "tools", "validate_observe_summary.py",
 )
 
 
@@ -271,3 +276,20 @@ def test_cli_observe_bundle_end_to_end(tmp_path, capsys, schema):
         assert handle.readline().rstrip("\n") == "Kanata\t0004"
     with open(out / "summary.json", encoding="utf-8") as handle:
         assert validate_summary(json.load(handle), schema) == []
+
+
+def test_validator_tool_runs_from_any_directory(
+    tmp_path, monkeypatch, capsys
+):
+    """The tool finds its default schema from its own location, not
+    from the working directory."""
+    path = tmp_path / "summary.json"
+    write_summary(path, _observed_result(), {"timing_instructions": 1_500})
+    spec = importlib.util.spec_from_file_location(
+        "validate_observe_summary", VALIDATOR_PATH
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.chdir(tmp_path)
+    assert tool.main([str(path)]) == 0
+    assert capsys.readouterr().out == f"{path}: ok\n"

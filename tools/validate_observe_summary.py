@@ -15,11 +15,17 @@ Usage::
 
 import argparse
 import json
+import os
 import sys
 
 from repro.observe.export import validate_summary
 
-DEFAULT_SCHEMA = "schemas/observe_summary.schema.json"
+#: The checked-in schema, found from this file so that the tool runs
+#: from any working directory.
+DEFAULT_SCHEMA = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "schemas", "observe_summary.schema.json",
+)
 
 
 def main(argv=None):
@@ -27,7 +33,8 @@ def main(argv=None):
     parser.add_argument("paths", nargs="+",
                         help="summary JSON files to validate")
     parser.add_argument("--schema", default=DEFAULT_SCHEMA,
-                        help=f"schema path (default {DEFAULT_SCHEMA})")
+                        help="schema path (default: the repository's "
+                             "schemas/observe_summary.schema.json)")
     args = parser.parse_args(argv)
 
     with open(args.schema, "r", encoding="utf-8") as handle:

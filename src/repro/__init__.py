@@ -32,8 +32,8 @@ from repro.config import (
 )
 from repro.core import Processor, SimResult, simulate
 from repro.observe import (
-    NullObserverSink,
     ObserverBus,
+    ObserverSink,
     PipelineRecorder,
     StallAccountant,
     default_observer,
@@ -63,8 +63,8 @@ __all__ = [
     "Processor",
     "SimResult",
     "simulate",
-    "NullObserverSink",
     "ObserverBus",
+    "ObserverSink",
     "PipelineRecorder",
     "StallAccountant",
     "default_observer",

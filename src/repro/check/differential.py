@@ -1,8 +1,7 @@
 """Commit-stream differential checker.
 
-A ``wants_raw`` observer sink that replays every committed instruction
-against functional references and reports any architectural
-divergence:
+An observer sink that replays every committed instruction against
+functional references and reports any architectural divergence:
 
 * **commit order** — committed seqs must walk each timing segment
   contiguously from the segment's start (duplicates, skips and
@@ -37,7 +36,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.observe.bus import RawObserverSink
+from repro.observe.bus import ObserverSink
 from repro.check.reference import ShadowMemory, diff_instructions
 from repro.check.report import CheckReport, StoreRecord
 from repro.trace.dependences import compute_dependence_info
@@ -55,10 +54,9 @@ def _trace_is_pc_continuous(trace: Trace) -> bool:
     return True
 
 
-class DifferentialChecker(RawObserverSink):
+class DifferentialChecker(ObserverSink):
     """Replays the commit stream against the functional reference."""
 
-    wants_cycles = True  # for on_segment (segment boundaries)
     summary_key = "differential"
 
     def __init__(
@@ -103,12 +101,6 @@ class DifferentialChecker(RawObserverSink):
         self._expect = cursor.position
         self._seg_stop = cursor.stop
         self._prev_inst = None
-
-    def on_cycle(self, processor) -> None:
-        pass
-
-    def on_squash(self, resume_cycle: int) -> None:
-        pass
 
     def finalize(self) -> None:
         """Close out the last timing segment (call after ``run()``)."""

@@ -35,7 +35,7 @@ from typing import List, Optional, Tuple
 from repro.config.processor import ProcessorConfig
 from repro.core.processor import Processor
 from repro.core.result import SimResult
-from repro.observe.bus import ObserverBus, RawObserverSink
+from repro.observe.bus import ObserverBus, ObserverSink
 from repro.check.report import CheckReport
 from repro.trace.sampling import SamplingPlan, make_sampling_plan
 
@@ -53,10 +53,8 @@ PARITY_FIELDS = (
 )
 
 
-class _ActivityRecorder(RawObserverSink):
+class _ActivityRecorder(ObserverSink):
     """Records the cycle of every observable reference-core action."""
-
-    summary_key = None
 
     def __init__(self) -> None:
         self.cycles: set = set()

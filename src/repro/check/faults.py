@@ -8,12 +8,11 @@ twice — clean (no violations allowed) and faulted (the named check
 must fire) — so a checker that silently stops detecting anything
 breaks the build.
 
-Faults are applied through the observer bus: a fault is a
-``wants_cycles`` sink whose ``on_segment`` hook monkey-patches the
-processor's per-segment structures (store buffer, window, violation
-detector) the moment they exist. Production code paths are never
-touched — the patches live on one processor *instance* and die with
-it.
+Faults are applied through the observer bus: a fault is a sink whose
+``on_segment`` hook monkey-patches the processor's per-segment
+structures (store buffer, window, violation detector) the moment they
+exist. Production code paths are never touched — the patches live on
+one processor *instance* and die with it.
 
 Bug classes (>= 6 distinct, per the acceptance criteria):
 
@@ -49,6 +48,7 @@ from repro.config.processor import (
 )
 from repro.isa.instruction import DynInst
 from repro.isa.opcodes import OpClass
+from repro.observe.bus import ObserverSink
 from repro.trace.events import Trace
 
 # -- micro-trace construction -------------------------------------------------
@@ -226,13 +226,8 @@ def _patch_commit_drift(processor) -> None:
 # -- fault registry -----------------------------------------------------------
 
 
-class _FaultSink:
+class _FaultSink(ObserverSink):
     """Observer sink that plants the bug once structures exist."""
-
-    wants_events = False
-    wants_cycles = True
-    wants_raw = False
-    summary_key = None
 
     def __init__(self, patch: Callable) -> None:
         self._patch = patch
@@ -241,15 +236,6 @@ class _FaultSink:
     def on_segment(self, processor) -> None:
         self._patch(processor)
         self.applied += 1
-
-    def on_cycle(self, processor) -> None:
-        pass
-
-    def on_squash(self, resume_cycle: int) -> None:
-        pass
-
-    def summary(self) -> dict:
-        return {}
 
 
 @dataclass(frozen=True)

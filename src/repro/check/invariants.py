@@ -1,7 +1,7 @@
 """Per-cycle microarchitectural invariant checker.
 
-A ``wants_raw`` + ``wants_cycles`` observer sink asserting structural
-invariants the timing model must never break:
+An observer sink asserting structural invariants the timing model
+must never break:
 
 * **age order** — the window holds consecutive seqs (``Window.get``
   finds an entry by its offset from the head); the store buffer, the
@@ -29,18 +29,19 @@ invariants the timing model must never break:
 
 The gate expectation is derived from the *configuration*, not from the
 processor's resolved ``_gate_kind``, so a corrupted gate cannot vouch
-for itself. All structure scans are read-only clones of the hot-path
-queries (the real ones bump observability counters).
+for itself. Likewise the AS address-match check scans the scheduler's
+posted records itself, without the scheduler's 8-byte block filter, so
+it checks that filter as well.
 """
 
 from __future__ import annotations
 
+import bisect
 import weakref
 from typing import Optional
 
 from repro.config.processor import SchedulingModel, SpeculationPolicy
-from repro.observe.bus import RawObserverSink
-from repro.observe.stalls import StallAccountant
+from repro.observe.bus import ObserverSink
 from repro.check.report import CheckReport
 from repro.trace.dependences import compute_true_dependences
 from repro.trace.events import Trace
@@ -53,10 +54,31 @@ def _is_sorted_strict(seqs) -> bool:
     return all(a < b for a, b in zip(seqs, seqs[1:]))
 
 
-class InvariantChecker(RawObserverSink):
+def _as_match_blocked(sched, entry, cycle: int) -> bool:
+    """Does the youngest older store visible to *entry* at *cycle* and
+    overlapping its access still have unwritten data?
+
+    The reference for ``AddressScheduler.youngest_older_match``: a
+    plain scan of the posted records, with no block filter.
+    """
+    inst = entry.inst
+    addr = inst.addr
+    end = addr + inst.size
+    records = sched._records
+    start = bisect.bisect_left(sched._posted_seqs, entry.seq) - 1
+    for index in range(start, -1, -1):
+        record = records[index]
+        if record.posted_cycle > cycle:
+            continue
+        if record.addr < end and addr < record.addr + record.size:
+            write = record.entry.write_cycle
+            return write is None or write > cycle
+    return False
+
+
+class InvariantChecker(ObserverSink):
     """Asserts structural and policy invariants on the live machine."""
 
-    wants_cycles = True
     summary_key = "invariants"
 
     def __init__(
@@ -91,9 +113,6 @@ class InvariantChecker(RawObserverSink):
         self._as_mode = memdep.scheduling is SchedulingModel.AS
         self._policy = memdep.policy
         self._last_committed = processor.cursor.position - 1
-
-    def on_squash(self, resume_cycle: int) -> None:
-        pass
 
     def raw_commit(self, entry, cycle: int) -> None:
         self._last_committed = entry.seq
@@ -228,9 +247,8 @@ class InvariantChecker(RawObserverSink):
             )
         # A known (visible) overlapping older store whose data has not
         # been written yet must hold the load — every AS policy waits
-        # for a *known* true dependence (read-only scan; the real query
-        # bumps the scheduler's search counters).
-        if StallAccountant._as_match_blocked(sched, entry, cycle):
+        # for a *known* true dependence.
+        if _as_match_blocked(sched, entry, cycle):
             report.add(
                 "gate-soundness", "invariants",
                 f"AS load {seq} issued at {cycle} despite a visible "

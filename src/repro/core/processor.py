@@ -29,7 +29,6 @@ from repro.core.window import Entry, Window
 from repro.isa.opcodes import OpClass
 from repro.isa.registers import REG_ZERO
 from repro.memdep.addr_scheduler import AddressScheduler
-from repro.memdep.oracle import OracleDisambiguator
 from repro.memdep.store_sets import StoreSetPredictor
 from repro.memdep.sync import MDPT
 from repro.memdep.tables import TwoBitPredictorTable
@@ -99,7 +98,6 @@ class Processor:
             dep_info if dep_info is not None
             else compute_dependence_info(trace)
         )
-        self.oracle = OracleDisambiguator(trace, self.dep_info)
         self.hierarchy = MemoryHierarchy(config)
         #: The core's loads and stores go straight to the D-cache.
         self._dcache_access = self.hierarchy.dcache.access

@@ -191,14 +191,23 @@ def summarize_telemetry(events: Iterable[dict]) -> dict:
 
 
 def render_summary(summary: dict) -> str:
-    """Human-readable block for ``repro-experiments status``."""
-    lines = [
-        f"events             {summary['events']:,}",
-        f"matrix runs        {summary['matrix_runs']}",
-        (
-            f"shards             {summary['shards_finished']} finished / "
-            f"{summary['shards_started']} started"
-        ),
+    """Human-readable block for ``repro-experiments status``.
+
+    The matrix, shard and shard wall-time lines appear only for a
+    stream with shard events: a serial run has none, and zeros there
+    would describe shards that never existed.
+    """
+    pooled = summary["shards_started"] or summary["shards_finished"]
+    lines = [f"events             {summary['events']:,}"]
+    if pooled:
+        lines += [
+            f"matrix runs        {summary['matrix_runs']}",
+            (
+                f"shards             {summary['shards_finished']} "
+                f"finished / {summary['shards_started']} started"
+            ),
+        ]
+    lines += [
         f"faults             {summary['aborts']} aborts",
         (
             f"cache              {summary['memory_hits']} memory + "
@@ -206,13 +215,14 @@ def render_summary(summary: dict) -> str:
             f"{summary['simulations']} simulated "
             f"({summary['cache_hit_rate']:.1%} hit rate)"
         ),
-        (
+    ]
+    if pooled:
+        lines.append(
             f"shard wall time    total {summary['wall_total']:.2f}s, "
             f"p50 {summary['wall_p50']:.2f}s, "
             f"p95 {summary['wall_p95']:.2f}s, "
             f"max {summary['wall_max']:.2f}s"
-        ),
-    ]
+        )
     sources = summary.get("trace_sources") or {}
     if sources or summary.get("trace_wall"):
         shards = ", ".join(

@@ -8,8 +8,6 @@ when deciding whether a load may access memory:
   speculation;
 * :class:`MDPT` — the memory dependence prediction table with synonym
   indirection used by speculation/synchronization (NAS/SYNC);
-* :class:`OracleDisambiguator` — perfect a-priori dependence knowledge
-  (NAS/ORACLE), built from the trace;
 * :class:`AddressScheduler` — posted-address tracking for the AS models,
   with configurable extra latency;
 * :class:`ViolationDetector` — the speculative-load table stores check
@@ -18,7 +16,6 @@ when deciding whether a load may access memory:
 
 from repro.memdep.tables import TwoBitPredictorTable
 from repro.memdep.sync import MDPT, SynchronizationPrediction
-from repro.memdep.oracle import OracleDisambiguator
 from repro.memdep.addr_scheduler import AddressScheduler
 from repro.memdep.violation import ViolationDetector
 
@@ -26,7 +23,6 @@ __all__ = [
     "TwoBitPredictorTable",
     "MDPT",
     "SynchronizationPrediction",
-    "OracleDisambiguator",
     "AddressScheduler",
     "ViolationDetector",
 ]

@@ -10,7 +10,7 @@ real associative structure.
 from __future__ import annotations
 
 import bisect
-from typing import List, Optional
+from typing import List
 
 
 class _PostedStore:
@@ -50,8 +50,6 @@ class AddressScheduler:
         #: high after removals — that only disables a fast path, never
         #: a correct answer.
         self._max_visible = -1
-        self.posts = 0
-        self.searches = 0
 
     # -- store lifecycle -----------------------------------------------------
 
@@ -79,7 +77,6 @@ class AddressScheduler:
             blocks[block] = blocks.get(block, 0) + 1
         if visible > self._max_visible:
             self._max_visible = visible
-        self.posts += 1
         if self.observer is not None:
             self.observer.note("addr-sched.post")
             self.observer.note_depth("addr-sched", len(self._records))
@@ -140,7 +137,6 @@ class AddressScheduler:
 
         Returns the store's window entry, or None.
         """
-        self.searches += 1
         blocks = self._blocks
         end = addr + size
         for block in range(addr >> 3, ((end - 1) >> 3) + 1):
@@ -157,6 +153,3 @@ class AddressScheduler:
             if record.addr < end and addr < record.addr + record.size:
                 return record.entry
         return None
-
-    def oldest_unposted(self) -> Optional[int]:
-        return self._unposted[0] if self._unposted else None

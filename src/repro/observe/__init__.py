@@ -3,13 +3,13 @@
 The simulator's :class:`~repro.core.result.SimResult` reports end-of-run
 aggregates; this subsystem explains them. An :class:`ObserverBus`
 attached to a :class:`~repro.core.Processor` is the reference core's
-only instrumentation. It receives typed per-instruction lifecycle
-events (fetch, dispatch, issue, mem-issue, blocked, squash, replay,
-commit) from guarded hook points — every hook is an
+only instrumentation. It receives per-instruction lifecycle events
+(fetch, dispatch, issue, mem-issue, blocked, squash, replay, commit)
+from guarded hook points — every hook is an
 ``if self.observer is not None:`` branch, so a detached processor pays
 nothing and stays bit-identical to the golden-parity fixtures.
 
-Sinks consume the stream:
+Sinks (:class:`ObserverSink` subclasses) take the hooks they override:
 
 * :class:`StallAccountant` charges every non-committing commit slot to
   exactly one cause (``sum(causes) + commit_slots == width × cycles``)
@@ -25,10 +25,8 @@ definitions and the overhead methodology.
 """
 
 from repro.observe.bus import (
-    EVENT_NAMES,
-    NullObserverSink,
-    ObservedEvent,
     ObserverBus,
+    ObserverSink,
     default_observer,
 )
 from repro.observe.export import (
@@ -47,10 +45,8 @@ from repro.observe.stalls import (
 )
 
 __all__ = [
-    "EVENT_NAMES",
-    "NullObserverSink",
-    "ObservedEvent",
     "ObserverBus",
+    "ObserverSink",
     "default_observer",
     "PipelineRecorder",
     "chrome_trace",

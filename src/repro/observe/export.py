@@ -27,14 +27,7 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, List, Optional
 
-from repro.observe.bus import (
-    EV_BLOCKED,
-    EV_COMMIT,
-    EV_FETCH,
-    EV_REPLAY,
-    EV_SQUASH,
-    ObservedEvent,
-)
+from repro.observe.bus import ObserverSink
 
 #: Schema version of the JSON summary document.
 SUMMARY_SCHEMA = 1
@@ -62,18 +55,16 @@ class PipelineRecord:
         self.blocked_cycle: Optional[int] = None
 
 
-class PipelineRecorder:
-    """Event sink retaining per-instruction stage timestamps.
+class PipelineRecorder(ObserverSink):
+    """Sink retaining per-instruction stage timestamps.
 
-    Commit events carry the full dispatch/issue/mem-issue/done history,
-    so a record is materialised only at commit; fetch cycles and first
-    blocked-causes are staged in side dicts keyed by seq and pruned at
-    commit/squash. Retention is bounded by *limit* committed records
-    (older activity is still counted, just not retained).
+    A committing entry carries its whole dispatch/issue/mem-issue/done
+    history, so a record is built only at commit; fetch cycles and
+    first blocked-causes are staged in side dicts keyed by seq and
+    pruned at commit/squash. Retention is bounded by *limit* committed
+    records (older activity is still counted, just not retained).
     """
 
-    wants_events = True
-    wants_cycles = False
     summary_key = "pipeline"
 
     def __init__(self, limit: int = 20_000) -> None:
@@ -87,49 +78,52 @@ class PipelineRecorder:
         self._fetch: Dict[int, int] = {}
         self._blocked: Dict[int, tuple] = {}
 
-    def on_event(self, event: ObservedEvent) -> None:
-        kind = event.kind
-        if kind == EV_COMMIT:
-            if len(self.records) >= self.limit:
-                self.dropped += 1
-                self._fetch.pop(event.seq, None)
-                self._blocked.pop(event.seq, None)
-                return
-            record = PipelineRecord(event.seq, event.pc, event.op)
-            record.fetch = self._fetch.pop(event.seq, None)
-            info = event.info
-            record.dispatch = info["dispatch"]
-            record.issue = info["issue"]
-            record.mem_issue = info["mem_issue"]
-            record.done = info["done"]
-            record.commit = event.cycle
-            blocked = self._blocked.pop(event.seq, None)
-            if blocked is not None:
-                record.blocked_cause, record.blocked_cycle = blocked
-            self.records.append(record)
-        elif kind == EV_FETCH:
-            self._fetch[event.seq] = event.cycle
-        elif kind == EV_BLOCKED:
-            if event.seq not in self._blocked:
-                self._blocked[event.seq] = (
-                    event.info["cause"], event.cycle
-                )
-        elif kind == EV_SQUASH:
-            self.squashes.append({
-                "cycle": event.cycle,
-                "load_seq": event.seq,
-                "store_seq": event.info["store_seq"],
-                "squashed": event.info["squashed"],
-                "resume": event.info["resume"],
-            })
-            # Squash truncates from the young end: forget staged state
-            # for everything at or after the violating load.
-            seq = event.seq
-            for staged in (self._fetch, self._blocked):
-                for key in [k for k in staged if k >= seq]:
-                    del staged[key]
-        elif kind == EV_REPLAY:
-            self.replays += 1
+    def raw_fetch(self, inst, cycle: int) -> None:
+        self._fetch[inst.seq] = cycle
+
+    def raw_blocked(self, entry, cycle: int, cause) -> None:
+        if entry.seq not in self._blocked:
+            self._blocked[entry.seq] = (cause, cycle)
+
+    def raw_squash(self, load, store, cycle, squashed, resume) -> None:
+        seq = load.seq
+        self.squashes.append({
+            "cycle": cycle,
+            "load_seq": seq,
+            "store_seq": store.seq,
+            "squashed": squashed,
+            "resume": resume,
+        })
+        # Squash truncates from the young end: forget staged state
+        # for everything at or after the violating load.
+        for staged in (self._fetch, self._blocked):
+            for key in [k for k in staged if k >= seq]:
+                del staged[key]
+
+    def raw_replay(self, load, cycle, reexecuted) -> None:
+        self.replays += 1
+
+    def raw_commit(self, entry, cycle: int) -> None:
+        seq = entry.seq
+        if len(self.records) >= self.limit:
+            self.dropped += 1
+            self._fetch.pop(seq, None)
+            self._blocked.pop(seq, None)
+            return
+        inst = entry.inst
+        record = PipelineRecord(seq, inst.pc, inst.op.name)
+        record.fetch = self._fetch.pop(seq, None)
+        record.dispatch = entry.dispatch_cycle
+        record.issue = entry.issue_cycle
+        record.mem_issue = entry.mem_issue_cycle
+        record.done = (
+            entry.write_cycle if entry.is_store else entry.complete_cycle
+        )
+        record.commit = cycle
+        blocked = self._blocked.pop(seq, None)
+        if blocked is not None:
+            record.blocked_cause, record.blocked_cycle = blocked
+        self.records.append(record)
 
     def summary(self) -> dict:
         return {

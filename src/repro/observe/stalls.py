@@ -58,7 +58,6 @@ memory ports used per simulated cycle.
 
 from __future__ import annotations
 
-import bisect
 from typing import Dict, Optional
 
 from repro.config.processor import SpeculationPolicy
@@ -71,7 +70,7 @@ from repro.core.processor import (
     _GATE_PREDICTED,
     _GATE_SYNC,
 )
-from repro.observe.bus import RawObserverSink
+from repro.observe.bus import ObserverSink
 from repro.stats.summary import percentile
 
 CAUSE_FETCH = "fetch"
@@ -151,11 +150,9 @@ class OccupancyHistogram:
         }
 
 
-class StallAccountant:
+class StallAccountant(ObserverSink):
     """Charges every non-committing commit slot to one cause."""
 
-    wants_events = False
-    wants_cycles = True
     summary_key = "stalls"
 
     def __init__(self, config) -> None:
@@ -182,8 +179,8 @@ class StallAccountant:
 
     # -- bus callbacks ---------------------------------------------------
 
-    def on_squash(self, resume_cycle: int) -> None:
-        self._squash_until = resume_cycle + self._front_end_depth
+    def raw_squash(self, load, store, cycle, squashed, resume) -> None:
+        self._squash_until = resume + self._front_end_depth
 
     def on_segment(self, processor) -> None:
         """A timing segment starts: re-anchor the per-cycle deltas.
@@ -393,28 +390,15 @@ class StallAccountant:
                 not sched.all_older_posted(seq, cycle)
             ):
                 return CAUSE_MEMDEP_WAIT
-            if self._as_match_blocked(sched, entry, cycle):
-                return CAUSE_SYNC_WAIT
+            inst = entry.inst
+            match = sched.youngest_older_match(
+                seq, inst.addr, inst.size, cycle
+            )
+            if match is not None:
+                write = match.write_cycle
+                if write is None or write > cycle:
+                    return CAUSE_SYNC_WAIT
         return None
-
-    @staticmethod
-    def _as_match_blocked(sched, entry, cycle: int) -> bool:
-        """Read-only clone of ``AddressScheduler.youngest_older_match``
-        plus the write-wait test — the real query bumps the scheduler's
-        ``searches`` counter, which a passive observer must not do."""
-        inst = entry.inst
-        addr = inst.addr
-        end = addr + inst.size
-        records = sched._records
-        start = bisect.bisect_left(sched._posted_seqs, entry.seq) - 1
-        for index in range(start, -1, -1):
-            record = records[index]
-            if record.posted_cycle > cycle:
-                continue
-            if record.addr < end and addr < record.addr + record.size:
-                write = record.entry.write_cycle
-                return write is None or write > cycle
-        return False
 
     # -- results -----------------------------------------------------------
 
@@ -435,7 +419,7 @@ class StallAccountant:
         }
 
 
-class UtilisationSampler(RawObserverSink):
+class UtilisationSampler(ObserverSink):
     """Per-cycle window occupancy, issue bandwidth and memory-port use.
 
     Each simulated cycle is sampled as the machine stood after issue and
@@ -443,8 +427,6 @@ class UtilisationSampler(RawObserverSink):
     minus the dispatches seen since the last one. Cycles the clock
     fast-forwards over are not sampled.
     """
-
-    wants_cycles = True
 
     def __init__(self, config) -> None:
         self.issue_width = config.window.issue_width
@@ -456,12 +438,6 @@ class UtilisationSampler(RawObserverSink):
 
     def raw_dispatch(self, entry, cycle: int) -> None:
         self._dispatched += 1
-
-    def on_segment(self, processor) -> None:
-        pass
-
-    def on_squash(self, resume_cycle: int) -> None:
-        pass
 
     def on_cycle(self, processor) -> None:
         funits = processor.funits

@@ -27,7 +27,7 @@ from repro.core.processor import Processor
 from repro.core.vector import VectorProcessor
 from repro.isa.instruction import DynInst
 from repro.isa.opcodes import OpClass
-from repro.observe.bus import ObserverBus, RawObserverSink
+from repro.observe.bus import ObserverBus, ObserverSink
 from repro.observe.stalls import StallAccountant
 from repro.trace.dependences import compute_dependence_info
 from repro.trace.events import Trace
@@ -87,27 +87,14 @@ def mini_traces(draw):
     return Trace(name="elision-mini", instructions=tuple(instructions))
 
 
-class _CycleRecorder:
+class _CycleRecorder(ObserverSink):
     """Records every cycle the reference core actually simulates."""
-
-    wants_events = False
-    wants_cycles = True
-    summary_key = None
 
     def __init__(self):
         self.cycles = set()
 
     def on_cycle(self, processor):
         self.cycles.add(processor.cycle)
-
-    def on_segment(self, processor):
-        pass
-
-    def on_squash(self, resume_cycle):
-        pass
-
-    def summary(self):
-        return {}
 
 
 # ---------------------------------------------------------------------------

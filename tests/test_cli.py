@@ -169,6 +169,49 @@ def test_status_subcommand(capsys, tmp_path):
     assert payload["matrix_runs"] == 1
 
 
+def test_status_prints_shard_lines_only_for_pooled_runs(capsys, tmp_path):
+    """A serial run's stream has no shard events, so ``status`` prints
+    no matrix, shard or shard wall-time line for it; ``--json`` keeps
+    every key. A pooled run's stream prints all three."""
+    from repro.experiments.telemetry import TelemetryWriter
+
+    shard_lines = ("matrix runs", "shards ", "shard wall time")
+    serial = tmp_path / "serial.jsonl"
+    with TelemetryWriter(serial) as writer:
+        writer.emit("artifact_start", artifact="figure7")
+        writer.emit(
+            "artifact_finish", artifact="figure7", wall=0.5,
+            memory_hits=0, store_hits=0, simulations=26,
+        )
+    assert cli.main(["status", str(serial)]) == 0
+    out = capsys.readouterr().out
+    assert "26 simulated" in out
+    assert not [line for line in shard_lines if line in out]
+
+    assert cli.main(["status", str(serial), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["simulations"] == 26
+    assert payload["matrix_runs"] == payload["shards_started"] == 0
+    assert payload["wall_total"] == 0.0
+
+    pooled = tmp_path / "pooled.jsonl"
+    with TelemetryWriter(pooled) as writer:
+        writer.emit("shard_start", benchmark="x", configs=["NO"])
+        writer.emit(
+            "shard_finish", benchmark="x", configs=["NO"], wall=1.0,
+            worker=1, memory_hits=0, store_hits=0, simulations=2,
+        )
+        writer.emit(
+            "matrix_finish", wall=1.2, memory_hits=0, store_hits=0,
+            simulations=2,
+        )
+    assert cli.main(["status", str(pooled)]) == 0
+    out = capsys.readouterr().out
+    assert "matrix runs        1" in out
+    assert "shards             1 finished / 1 started" in out
+    assert "shard wall time    total 1.00s" in out
+
+
 def test_status_subcommand_missing_file(capsys, tmp_path):
     rc = cli.main(["status", str(tmp_path / "absent.jsonl")])
     assert rc == 1

@@ -14,26 +14,16 @@ from repro.config import (
     SpeculationPolicy,
 )
 from repro.core.processor import Processor
-from repro.observe import ObserverBus
+from repro.observe import ObserverBus, ObserverSink
 
 
-class _LimitSink:
+class _LimitSink(ObserverSink):
     """Cycle sink asserting the issue counters the core writes back."""
-
-    wants_events = False
-    wants_cycles = True
-    summary_key = None
 
     def __init__(self, window) -> None:
         self.window = window
         self.peak_int = 0
         self.peak_ports = 0
-
-    def on_segment(self, processor) -> None:
-        pass
-
-    def on_squash(self, resume_cycle: int) -> None:
-        pass
 
     def on_cycle(self, processor) -> None:
         funits = processor.funits

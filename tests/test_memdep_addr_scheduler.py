@@ -67,7 +67,8 @@ def test_squash_truncates():
     sched.post_address(_FakeStore(4, 0x100), 0)
     sched.squash(4)
     assert sched.youngest_older_match(9, 0x100, 4, cycle=5) is None
-    assert sched.oldest_unposted() == 1
+    # Store 1 is older than the squash point: still unposted.
+    assert not sched.all_older_posted(9, cycle=5)
 
 
 def test_remove_store_on_commit():

@@ -1,9 +1,18 @@
-"""Pipeline recorder, trace exporters, and the summary schema contract."""
+"""Pipeline recorder, trace exporters, and the summary schema contract.
+
+The Chrome trace and Konata log of four short observed cells are pinned
+by sha256 in ``tests/fixtures/observe_export_digests.json``. Regenerate
+after an intentional change to what the exporters write with::
+
+    PYTHONPATH=src python -m tests.test_observe_export --regen
+"""
 
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import os
+import sys
 
 import pytest
 
@@ -11,7 +20,12 @@ from repro.config.presets import continuous_window_128
 from repro.config.processor import SchedulingModel, SpeculationPolicy
 from repro.core.processor import Processor
 from repro.experiments import cli
-from repro.observe import ObserverBus, PipelineRecorder
+from repro.experiments.runner import (
+    ExperimentSettings,
+    _dependences_for_length,
+    _plan_for,
+)
+from repro.observe import ObserverBus, PipelineRecorder, StallAccountant
 from repro.observe.export import (
     chrome_trace,
     konata_log,
@@ -30,6 +44,9 @@ SCHEMA_PATH = os.path.join(
 VALIDATOR_PATH = os.path.join(
     os.path.dirname(__file__), os.pardir,
     "tools", "validate_observe_summary.py",
+)
+DIGESTS = os.path.join(
+    os.path.dirname(__file__), "fixtures", "observe_export_digests.json"
 )
 
 
@@ -293,3 +310,89 @@ def test_validator_tool_runs_from_any_directory(
     monkeypatch.chdir(tmp_path)
     assert tool.main([str(path)]) == 0
     assert capsys.readouterr().out == f"{path}: ok\n"
+
+
+def export_cells():
+    """Label -> (benchmark, config) of every cell whose exports are
+    pinned; each reaches a different part of the recorder."""
+    nas, as_ = SchedulingModel.NAS, SchedulingModel.AS
+    nav = SpeculationPolicy.NAIVE
+    return {
+        # Violation squashes.
+        "126.gcc NAS/NAV": ("126.gcc", continuous_window_128(nas, nav)),
+        # Synchronisation waits: blocked records.
+        "099.go NAS/SYNC": ("099.go", continuous_window_128(
+            nas, SpeculationPolicy.SYNC
+        )),
+        # The address scheduler's waits: many blocked records.
+        "130.li AS/NO+1": ("130.li", continuous_window_128(
+            as_, SpeculationPolicy.NO, addr_scheduler_latency=1
+        )),
+        # Selective recovery: replays instead of squashes.
+        "126.gcc NAS/NAV:selective": ("126.gcc", continuous_window_128(
+            nas, nav, recovery="selective"
+        )),
+    }
+
+
+def export_digests(benchmark, config):
+    """Digests of the exports the ``observe`` bundle writes for one
+    600/300 cell, plus the recorder counts the cell is chosen for."""
+    config = dataclasses.replace(config, observe=True)
+    settings = ExperimentSettings(600, 300)
+    plan = _plan_for(benchmark, settings)
+    trace = get_trace(benchmark, plan.length, settings.seed)
+    info = _dependences_for_length(benchmark, plan.length, settings.seed)
+    recorder = PipelineRecorder()
+    bus = ObserverBus([StallAccountant(config), recorder])
+    Processor(config, trace, info, observer=bus).run(plan)
+
+    def sha256(text):
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    return {
+        "chrome_trace": sha256(json.dumps(chrome_trace(recorder))),
+        "konata_log": sha256(konata_log(recorder)),
+        "records": len(recorder.records),
+        "blocked": sum(
+            1 for r in recorder.records if r.blocked_cause is not None
+        ),
+        "squashes": len(recorder.squashes),
+        "replays": recorder.replays,
+    }
+
+
+@pytest.fixture(scope="module")
+def pinned_digests():
+    if not os.path.exists(DIGESTS):
+        pytest.fail(
+            f"missing export-digest fixture {DIGESTS}; regenerate with "
+            "`PYTHONPATH=src python -m tests.test_observe_export --regen`"
+        )
+    with open(DIGESTS, "r", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+@pytest.mark.parametrize("label", sorted(export_cells()))
+def test_exports_are_pinned(pinned_digests, label):
+    benchmark, config = export_cells()[label]
+    assert export_digests(benchmark, config) == pinned_digests[label]
+
+
+def regenerate():
+    digests = {}
+    for label, (benchmark, config) in sorted(export_cells().items()):
+        digests[label] = export_digests(benchmark, config)
+        print(f"  {label}: {digests[label]}")
+    with open(DIGESTS, "w", encoding="utf-8") as handle:
+        json.dump(digests, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {DIGESTS} ({len(digests)} cells)")
+
+
+if __name__ == "__main__":
+    if "--regen" in sys.argv:
+        regenerate()
+    else:
+        print(__doc__)
+        sys.exit(2)

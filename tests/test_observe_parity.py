@@ -1,10 +1,10 @@
 """Attaching an observer must not perturb the golden timing model.
 
-Re-runs golden-parity cells with (a) a bus carrying a
-:class:`NullObserverSink` — exercising every hook path including event
-materialisation — beside the pipeline recorder and the utilisation
-sampler, and (b) the default stall-accounting observer, and asserts the
-results match the checked-in golden fixture bit for bit.
+Re-runs golden-parity cells with (a) a bus carrying a sink that takes
+every hook and does nothing — exercising every hook path — beside the
+pipeline recorder and the utilisation sampler, and (b) the default
+stall-accounting observer, and asserts the results match the
+checked-in golden fixture bit for bit.
 """
 
 import json
@@ -13,8 +13,8 @@ import pytest
 
 from repro.core.processor import Processor
 from repro.observe import (
-    NullObserverSink,
     ObserverBus,
+    ObserverSink,
     PipelineRecorder,
     UtilisationSampler,
     default_observer,
@@ -29,6 +29,40 @@ from tests.test_golden_parity import (
     FIXTURE,
     parity_configs,
 )
+
+
+class _NullSink(ObserverSink):
+    """Takes every hook and does nothing."""
+
+    def on_segment(self, processor):
+        pass
+
+    def on_cycle(self, processor):
+        pass
+
+    def raw_fetch(self, inst, cycle):
+        pass
+
+    def raw_dispatch(self, entry, cycle):
+        pass
+
+    def raw_issue(self, entry, cycle):
+        pass
+
+    def raw_mem_issue(self, entry, cycle, forwarded):
+        pass
+
+    def raw_blocked(self, entry, cycle, cause):
+        pass
+
+    def raw_squash(self, load, store, cycle, squashed, resume):
+        pass
+
+    def raw_replay(self, load, cycle, reexecuted):
+        pass
+
+    def raw_commit(self, entry, cycle):
+        pass
 
 
 def _observed_fields(benchmark, warm, length, config, observer):
@@ -62,7 +96,7 @@ def test_null_sink_parity(golden, label):
     benchmark, warm, length = _NULL_BENCHMARK
     config = parity_configs()[label]
     sampler = UtilisationSampler(config)
-    observer = ObserverBus([NullObserverSink(), PipelineRecorder(), sampler])
+    observer = ObserverBus([_NullSink(), PipelineRecorder(), sampler])
     result, actual = _observed_fields(
         benchmark, warm, length, config, observer
     )
@@ -72,7 +106,9 @@ def test_null_sink_parity(golden, label):
             k for k in FIELDS if expected[k] != actual[k]
         )
     )
-    # The hooks really fired: a non-trivial run emits events.
+    # Every hook is bound, and the hooks really fired: a non-trivial
+    # run emits events.
+    assert all(observer._hooks.values())
     assert observer.events_emitted > 0
     assert result.extra["observe"]["events"] == observer.events_emitted
     assert result.extra["observe"]["pipeline"]["records"] > 0
